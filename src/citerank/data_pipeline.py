@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -50,6 +51,9 @@ REQUIRED_COLUMNS = ("set_id", "paper_id", "citations")
 FORMATS = ("delimited", "aligned", "json")
 
 _LEADER = f"# citerank-i3 {__version__}"
+
+# ASCII digits with an optional sign: int() alone also takes "1_000" and non-ASCII digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
@@ -107,16 +111,19 @@ def parse_records(stream: TextIO, source: str = "<stream>") -> InputDataset:
 
     The first row must be a header containing at least the columns
     ``set_id``, ``paper_id``, and ``citations``; a ``doc_type`` column is
-    optional (empty cells mean absent). Labels are whitespace-trimmed.
-    Raises ``ValueError`` naming the missing column, or the offending row
-    number for bad citation counts and duplicate paper_ids (the header is
-    row 1).
+    optional (empty cells mean absent). Labels are whitespace-trimmed and
+    a leading UTF-8 byte-order mark is ignored. Citation counts are ASCII
+    digits with an optional sign. Raises ``ValueError`` naming the missing
+    column, or the offending row number for bad citation counts and
+    duplicate paper_ids (the header is row 1).
     """
     reader = csv.reader(stream)
     try:
         header = next(reader)
     except StopIteration:
         raise ValueError(f"empty input: {source}") from None
+    if header:
+        header[0] = header[0].removeprefix("\ufeff")
     columns = [cell.strip() for cell in header]
     for name in REQUIRED_COLUMNS:
         if name not in columns:
@@ -139,12 +146,9 @@ def parse_records(stream: TextIO, source: str = "<stream>") -> InputDataset:
             raise ValueError(f"empty set_id at row {row_number}")
         if not paper_id:
             raise ValueError(f"empty paper_id at row {row_number}")
-        try:
-            citations = int(raw_citations)
-        except ValueError:
-            raise ValueError(
-                f"non-integer citations {raw_citations!r} at row {row_number}"
-            ) from None
+        if _INTEGER.fullmatch(raw_citations) is None:
+            raise ValueError(f"non-integer citations {raw_citations!r} at row {row_number}")
+        citations = int(raw_citations)
         if citations < 0:
             raise ValueError(f"negative citations at row {row_number}")
         if paper_id in first_row_of:

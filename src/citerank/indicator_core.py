@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left, bisect_right
-from collections import defaultdict
+from bisect import bisect_right
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 __all__ = [
     "CitationRecord",
@@ -213,6 +214,11 @@ class PercentileAssignment:
     and ``set_ids`` record, per paper, the reference-group label used and
     the owning set. Papers with equal citation counts in the same
     reference group always hold equal percentiles.
+
+    The first :meth:`percentiles_for_set` call indexes every paper's value
+    by set in one pass over ``entries``; later calls are lookups, so
+    aggregating all sets costs time linear in the number of papers. The
+    mappings must not be mutated once the index is built.
     """
 
     entries: Mapping[str, float]
@@ -221,16 +227,22 @@ class PercentileAssignment:
     rule: PercentileRule
     scope: ReferenceScope
 
+    @cached_property
+    def _values_by_set(self) -> dict[str, list[float]]:
+        index: dict[str, list[float]] = defaultdict(list)
+        for paper_id, value in self.entries.items():
+            index[self.set_ids[paper_id]].append(value)
+        return dict(index)
+
     def percentiles_for_set(self, set_id: str) -> list[float]:
-        """Percentile values of one set's papers (aggregation-order only)."""
-        values = [
-            value
-            for paper_id, value in self.entries.items()
-            if self.set_ids[paper_id] == set_id
-        ]
-        if not values:
-            raise ValueError(f"unknown set_id {set_id!r}")
-        return values
+        """Percentile values of one set's papers (aggregation-order only).
+
+        Returns a fresh list; raises ``ValueError`` for a set with no papers.
+        """
+        try:
+            return list(self._values_by_set[set_id])
+        except KeyError:
+            raise ValueError(f"unknown set_id {set_id!r}") from None
 
 
 @dataclass(frozen=True)
@@ -256,7 +268,9 @@ def _rule_value(rule: PercentileRule, lower: int, lower_or_equal: int, count: in
     if rule is PercentileRule.QUANTILE:
         return 100.0 * lower / n
     if rule is PercentileRule.LB09:
-        return 100.0 * (lower + 0.9) / n
+        # One correctly rounded division of integers, so a percentile exactly
+        # on a class bound (n=21, lower=18 gives 90) comes out exactly on it.
+        return (1000 * lower + 900) / (10 * n)
     if rule is PercentileRule.ROUSSEAU_RAW:
         return 100.0 * lower_or_equal / n
     if count == 0:
@@ -320,7 +334,10 @@ def compute_percentiles(
 
     Records are partitioned into reference groups per ``scope``; each
     paper's percentile equals :func:`percentile_of` over its group's
-    counts. Output is independent of input ordering.
+    counts. Each group's distinct citation counts are tallied and walked
+    once in ascending order, so the rule is evaluated once per distinct
+    count and every member takes its count's value. Output is independent
+    of input ordering.
 
     Args:
         records: Citation records with unique paper_ids; non-empty.
@@ -343,12 +360,16 @@ def compute_percentiles(
     group_keys: dict[str, str] = {}
     set_ids: dict[str, str] = {}
     for key, members in groups.items():
-        sorted_counts = sorted(m.citations for m in members)
-        n = len(sorted_counts)
+        tally = Counter(m.citations for m in members)
+        n = len(members)
+        value_of: dict[int, float] = {}
+        lower = 0
+        for count in sorted(tally):
+            tied = tally[count]
+            value_of[count] = _rule_value(rule, lower, lower + tied, count, n)
+            lower += tied
         for m in members:
-            lower = bisect_left(sorted_counts, m.citations)
-            lower_or_equal = bisect_right(sorted_counts, m.citations)
-            entries[m.paper_id] = _rule_value(rule, lower, lower_or_equal, m.citations, n)
+            entries[m.paper_id] = value_of[m.citations]
             group_keys[m.paper_id] = key
             set_ids[m.paper_id] = m.set_id
     return PercentileAssignment(entries, group_keys, set_ids, rule, scope)
@@ -384,7 +405,7 @@ def oracle_percentiles(
             if rule is PercentileRule.QUANTILE:
                 value = 100.0 * lower / n
             elif rule is PercentileRule.LB09:
-                value = 100.0 * (lower + 0.9) / n
+                value = (1000 * lower + 900) / (10 * n)
             elif rule is PercentileRule.ROUSSEAU_RAW:
                 value = 100.0 * lower_or_equal / n
             else:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from ._version import __version__
 from .data_pipeline import AnalysisConfig, InputDataset, RankingReport, pair_key, run_analysis
@@ -104,11 +104,15 @@ class DivergenceResult:
 def generate_set(spec: SetSpec) -> list[CitationRecord]:
     """Draw one set's records; identical specs yield identical records.
 
-    Exactly ``floor(uncited_share * n)`` papers are uncited; the rest get
-    ``floor(lognormal(mu, sigma))`` citations clamped to >= 1. Uses a
-    fresh PCG64 stream seeded with ``spec.seed``.
+    Exactly ``floor(uncited_share * n)`` papers are uncited, the product
+    taken in exact decimal (0.29 of 100 is 29, where binary floating point
+    gives 28); the rest get ``floor(lognormal(mu, sigma))`` citations
+    clamped to >= 1. Uses a fresh PCG64 stream seeded with ``spec.seed``.
     """
-    n_zero = int(spec.uncited_share * spec.n)
+    # numpy is imported here so that commands which generate nothing never load it.
+    import numpy as np
+
+    n_zero = math.floor(Fraction(repr(float(spec.uncited_share))) * spec.n)
     n_cited = spec.n - n_zero
     counts = [0] * n_zero
     if n_cited > 0:
@@ -182,6 +186,25 @@ def run_divergence_experiment(
     return divergence_from_report(report, scheme)
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# Every key a set entry may hold: what its value must be, and the check for it.
+_SET_KEYS = {
+    "set_id": ("a string", lambda value: isinstance(value, str)),
+    "n": ("an integer", _is_int),
+    "uncited_share": ("a number", _is_number),
+    "mu": ("a number", _is_number),
+    "sigma": ("a number", _is_number),
+    "seed": ("a non-negative integer", lambda value: _is_int(value) and value >= 0),
+}
+
+
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Read a JSON experiment config: a list of set specs plus rules/scheme/scope.
 
@@ -195,10 +218,11 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     if not isinstance(raw_sets, list) or not raw_sets:
         raise ValueError(f"experiment config {path}: 'sets' must be a non-empty list")
 
-    allowed = {"set_id", "n", "uncited_share", "mu", "sigma", "seed"}
     specs = []
     for position, entry in enumerate(raw_sets):
-        unknown = set(entry) - allowed
+        if not isinstance(entry, dict):
+            raise ValueError(f"experiment config {path}: set #{position} must be an object")
+        unknown = set(entry) - set(_SET_KEYS)
         if unknown:
             raise ValueError(
                 f"experiment config {path}: unknown keys {sorted(unknown)} in set #{position}"
@@ -208,6 +232,13 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
             raise ValueError(
                 f"experiment config {path}: set #{position} missing {sorted(missing)}"
             )
+        for key, value in entry.items():
+            kind, check = _SET_KEYS[key]
+            if not check(value):
+                raise ValueError(
+                    f"experiment config {path}: set #{position} key {key!r} "
+                    f"must be {kind}, got {value!r}"
+                )
         specs.append(SetSpec(**entry))
 
     rule_tokens = payload.get("rules", [rule.token for rule in PercentileRule])

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import citerank
 from citerank import fixture_path
 from citerank.cli import main
 
@@ -269,6 +274,25 @@ def test_simulate_missing_config(capsys):
     code, out, err = run_cli(capsys, "simulate", "--config", "nope_nothing")
     assert code == 1
     assert "not found" in err
+
+
+def test_simulate_malformed_config_is_one_line_error(capsys, tmp_path):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"sets": [{"set_id": "A", "n": "100", "uncited_share": 0.2}]}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "set #0 key 'n'" in err
+
+
+def test_cli_import_does_not_load_numpy():
+    # numpy is only needed to generate sets; every other command should start without it
+    src = str(Path(citerank.__file__).parent.parent)
+    probe = "import sys, citerank.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_simulate_json_format(capsys):

@@ -88,6 +88,23 @@ def test_parse_non_integer_citations_row_number():
         _dataset("set_id,paper_id,citations\nJ1,p1,many\n")
 
 
+@pytest.mark.parametrize("cell", ["1_000", "\uff15", "5.0", "--5"])
+def test_parse_rejects_citations_other_than_ascii_digits(cell):
+    with pytest.raises(ValueError, match=f"non-integer citations '{cell}' at row 3"):
+        _dataset(f"set_id,paper_id,citations\nJ1,p1,5\nJ1,p2,{cell}\n")
+
+
+def test_parse_accepts_signed_ascii_digits():
+    dataset = _dataset("set_id,paper_id,citations\nJ1,p1,+5\nJ1,p2,007\n")
+    assert [record.citations for record in dataset.records] == [5, 7]
+
+
+def test_parse_ignores_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("set_id,paper_id,citations\nJ1,p1,5\n".encode("utf-8-sig"))
+    assert load_records(path).records == (CitationRecord("J1", "p1", 5),)
+
+
 def test_parse_duplicate_paper_id_both_rows():
     with pytest.raises(ValueError, match="duplicate paper_id 'p1' at rows 2 and 4"):
         _dataset("set_id,paper_id,citations\nJ1,p1,5\nJ1,p2,0\nJ2,p1,1\n")

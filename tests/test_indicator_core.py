@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -25,6 +27,7 @@ from citerank import (
     percentile_of,
     top_share,
 )
+from citerank.indicator_core import _rule_value
 from conftest import make_records
 
 RULES = list(PercentileRule)
@@ -438,3 +441,85 @@ def test_percent_i3_sums_to_100(count_sets, rule):
         return  # degenerate pool is a documented error case
     shares = percent_i3(totals)
     assert math.fsum(shares.values()) == pytest.approx(100.0, abs=1e-9)
+
+
+# --- set index and distinct-count tally -----------------------------------------
+
+multi_set_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["A", "B", "C"]),
+        st.integers(min_value=0, max_value=12),
+        st.sampled_from(["article", "review"]),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+_TEST_GROUP_KEY = {
+    ReferenceScope.GLOBAL_POOL: lambda record: "all",
+    ReferenceScope.PER_SET: lambda record: record.set_id,
+    ReferenceScope.PER_DOC_TYPE_POOL: lambda record: record.doc_type,
+    ReferenceScope.PER_SET_AND_DOC_TYPE: lambda record: (record.set_id, record.doc_type),
+}
+
+
+@given(rows=multi_set_rows)
+def test_compute_percentiles_and_set_index_match_brute_force(rows):
+    records = [
+        CitationRecord(set_id, f"p{i}", count, doc_type)
+        for i, (set_id, count, doc_type) in enumerate(rows)
+    ]
+    set_ids = {record.set_id for record in records}
+    for scope, group_key in _TEST_GROUP_KEY.items():
+        groups = {}
+        for record in records:
+            groups.setdefault(group_key(record), []).append(record.citations)
+        for rule in RULES:
+            assignment = compute_percentiles(records, rule, scope)
+            for record in records:
+                expected = percentile_of(record.citations, groups[group_key(record)], rule)
+                assert assignment.entries[record.paper_id] == expected
+            for set_id in set_ids:
+                brute = [
+                    value
+                    for paper_id, value in assignment.entries.items()
+                    if assignment.set_ids[paper_id] == set_id
+                ]
+                assert sorted(assignment.percentiles_for_set(set_id)) == sorted(brute)
+            with pytest.raises(ValueError, match="unknown set_id"):
+                assignment.percentiles_for_set("missing")
+
+
+def test_percentiles_for_set_returns_a_fresh_list(worked_assignment):
+    values = worked_assignment.percentiles_for_set("A")
+    values.append(100.0)
+    assert len(worked_assignment.percentiles_for_set("A")) == 5
+
+
+# --- exact lb09 class bounds ----------------------------------------------------
+
+def test_lb09_on_a_class_bound_is_exactly_on_it():
+    # n=21, lower=18: (100 * 18 + 90) / 21 is exactly 90, the nsf6 class-4 and top-10% bound
+    records = make_records(range(21))
+    fast = compute_percentiles(records, PercentileRule.LB09, ReferenceScope.PER_SET)
+    slow = oracle_percentiles(records, PercentileRule.LB09)
+    for assignment in (fast, slow):
+        assert assignment.entries["a18"] == 90.0
+        assert classify(assignment.entries["a18"], NSF6) == 4
+        assert classify(assignment.entries["a18"], TOP10) == 2
+
+
+def test_lb09_classes_exact_for_every_group_up_to_2000():
+    # Exhaustive over (n, lower). The exact percentile Fraction(100 * lower + 90, n) reaches
+    # a lower bound b from lower = ceil((b * n - 90) / 100) on, so the exact class of
+    # `lower` is the number of those first indices at or below it.
+    schemes = [(scheme, [Fraction(bound) for bound in scheme.lower_bounds]) for scheme in (NSF6, TOP10)]
+    for n in range(1, 2001):
+        firsts = [
+            (scheme, [max(0, math.ceil((bound * n - 90) / 100)) for bound in bounds])
+            for scheme, bounds in schemes
+        ]
+        for lower in range(n):
+            value = _rule_value(PercentileRule.LB09, lower, lower + 1, lower + 1, n)
+            for scheme, first in firsts:
+                assert classify(value, scheme) == bisect_right(first, lower), (n, lower)

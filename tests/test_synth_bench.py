@@ -164,6 +164,35 @@ def test_config_validation_errors(tmp_path):
         load_experiment_config(bad)
 
 
+@pytest.mark.parametrize(
+    "entry,match",
+    [
+        ("A", "set #0 must be an object"),
+        ({"set_id": "A", "n": "100", "uncited_share": 0.5}, "set #0 key 'n' must be an integer"),
+        ({"set_id": "A", "n": 10.5, "uncited_share": 0.5}, "set #0 key 'n' must be an integer"),
+        ({"set_id": "A", "n": True, "uncited_share": 0.5}, "set #0 key 'n' must be an integer"),
+        ({"set_id": "A", "n": 10, "uncited_share": "0.5"}, "set #0 key 'uncited_share'"),
+        ({"set_id": "A", "n": 10, "uncited_share": 0.5, "mu": None}, "set #0 key 'mu'"),
+        ({"set_id": "A", "n": 10, "uncited_share": 0.5, "sigma": [1]}, "set #0 key 'sigma'"),
+        ({"set_id": "A", "n": 10, "uncited_share": 0.5, "seed": 1.5}, "set #0 key 'seed'"),
+        ({"set_id": "A", "n": 10, "uncited_share": 0.5, "seed": -1}, "set #0 key 'seed'"),
+        ({"set_id": 7, "n": 10, "uncited_share": 0.5}, "set #0 key 'set_id'"),
+    ],
+)
+def test_config_rejects_malformed_set_entries(tmp_path, entry, match):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"sets": [entry]}))
+    with pytest.raises(ValueError, match=match):
+        load_experiment_config(bad)
+
+
+@pytest.mark.parametrize("share,n,zeros", [(0.043, 10000, 430), (0.29, 100, 29)])
+def test_uncited_block_is_exact_decimal_floor(share, n, zeros):
+    records = generate_set(SetSpec("S", n=n, uncited_share=share, seed=1))
+    assert all(record.citations == 0 for record in records[:zeros])
+    assert all(record.citations > 0 for record in records[zeros:])
+
+
 def test_override_seeds():
     config = load_experiment_config(fixture_path("divergence_high_uncited.json"))
     reseeded = override_seeds(config, 5000)
