@@ -12,9 +12,9 @@ import csv
 import io
 import json
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from datetime import datetime, timezone
+from operator import attrgetter
 from pathlib import Path
 from typing import TextIO
 
@@ -22,7 +22,6 @@ from ._version import __version__
 from .indicator_core import (
     P100,
     CitationRecord,
-    PercentileAssignment,
     PercentileRule,
     RankClassScheme,
     ReferenceScope,
@@ -89,15 +88,13 @@ class RankingReport:
     """Ordered set-level report rows for a rule/scheme grid.
 
     Rows are sorted by descending %I3 of the primary column (first rule,
-    first scheme), ties broken by ascending set_id. ``generated_at`` is
-    metadata only and never enters emitted payloads.
+    first scheme), ties broken by ascending set_id.
     """
 
     rows: tuple[SetReport, ...]
     rules: tuple[PercentileRule, ...]
     schemes: tuple[RankClassScheme, ...]
     scope: ReferenceScope
-    generated_at: str
     top_share_threshold: float = 90.0
 
 
@@ -115,9 +112,17 @@ def parse_records(stream: TextIO, source: str = "<stream>") -> InputDataset:
     a leading UTF-8 byte-order mark is ignored. Citation counts are ASCII
     digits with an optional sign. Raises ``ValueError`` naming the missing
     column, or the offending row number for bad citation counts and
-    duplicate paper_ids (the header is row 1).
+    duplicate paper_ids (the header is row 1), or the line the ``csv``
+    module could not read.
     """
     reader = csv.reader(stream)
+    try:
+        return _parse_rows(reader, source)
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV at line {reader.line_num} of {source}: {exc}") from None
+
+
+def _parse_rows(reader: Iterator[list[str]], source: str) -> InputDataset:
     try:
         header = next(reader)
     except StopIteration:
@@ -188,16 +193,15 @@ def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport
     """Full pipeline: percentiles, per-set I3 and %I3, ranks, top-share.
 
     Composes :func:`compute_percentiles`, :func:`i3`, :func:`percent_i3`,
-    and :func:`top_share` for every requested (rule, scheme) pair. The
-    top-share column is computed under the first requested rule at
-    ``config.top_share_threshold``. Deterministic for any input ordering.
+    and :func:`top_share` for every requested (rule, scheme) pair. One
+    rule's assignment is alive at a time: it is computed, aggregated under
+    every scheme (and, for the first requested rule, reduced to the
+    top-share column at ``config.top_share_threshold``), then dropped.
+    Deterministic for any input ordering.
     """
     records = dataset.records
     if not records:
         raise ValueError("empty input")
-    assignments: dict[PercentileRule, PercentileAssignment] = {
-        rule: compute_percentiles(records, rule, config.scope) for rule in config.rules
-    }
     set_order = sorted({record.set_id for record in records})
 
     n_papers = {set_id: 0 for set_id in set_order}
@@ -209,22 +213,22 @@ def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport
     i3_cells: dict[str, dict[str, float]] = {}
     share_cells: dict[str, dict[str, float]] = {}
     rank_cells: dict[str, dict[str, int]] = {}
+    top_shares: dict[str, float] = {}
     for rule in config.rules:
+        assignment = compute_percentiles(records, rule, config.scope)
         for scheme in config.schemes:
             key = pair_key(rule, scheme)
-            i3_by_set = {
-                set_id: i3(assignments[rule], scheme, set_id) for set_id in set_order
-            }
+            i3_by_set = {set_id: i3(assignment, scheme, set_id) for set_id in set_order}
             shares = percent_i3(i3_by_set)
             i3_cells[key] = i3_by_set
             share_cells[key] = shares
             rank_cells[key] = _competition_ranks(shares)
-
-    primary_assignment = assignments[config.rules[0]]
-    top_shares = {
-        set_id: top_share(primary_assignment, set_id, config.top_share_threshold)
-        for set_id in set_order
-    }
+        if rule is config.rules[0]:
+            top_shares = {
+                set_id: top_share(assignment, set_id, config.top_share_threshold)
+                for set_id in set_order
+            }
+        del assignment
 
     rows = [
         SetReport(
@@ -245,7 +249,6 @@ def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport
         rules=config.rules,
         schemes=config.schemes,
         scope=config.scope,
-        generated_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         top_share_threshold=config.top_share_threshold,
     )
 
@@ -357,46 +360,58 @@ def emit_paper_percentiles(
     """Per-paper percentile table, one ``pct_<rule>`` column per rule.
 
     Rows are sorted by (set_id, paper_id) so equal inputs emit equal bytes.
+    The table is built by column: the records are ordered once, and each
+    rule's assignment is computed, read into one column of values in row
+    order, and dropped before the next rule's, so one assignment is alive
+    at a time. The delimited and aligned forms format each distinct value
+    once per rule.
     """
     if not dataset.records:
         raise ValueError("empty input")
-    assignments = {rule: compute_percentiles(dataset.records, rule, scope) for rule in rules}
-    ordered = sorted(dataset.records, key=lambda record: (record.set_id, record.paper_id))
-    columns = ["set_id", "paper_id", "citations"] + [f"pct_{rule.token}" for rule in rules]
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r} (expected one of: {', '.join(FORMATS)})")
+    # Two stable sorts give the (set_id, paper_id) order without building tuple keys.
+    ordered = sorted(dataset.records, key=attrgetter("paper_id"))
+    ordered.sort(key=attrgetter("set_id"))
+    set_ids = [record.set_id for record in ordered]
+    paper_ids = [record.paper_id for record in ordered]
+    citations = [record.citations for record in ordered]
 
-    def cells(record: CitationRecord) -> list[str]:
-        row = [record.set_id, record.paper_id, str(record.citations)]
-        row += [f"{assignments[rule].entries[record.paper_id]:.6f}" for rule in rules]
-        return row
+    values: list[list[float]] = []
+    for rule in rules:
+        entries = compute_percentiles(dataset.records, rule, scope).entries
+        values.append(list(map(entries.__getitem__, paper_ids)))
+        del entries  # free it before the next rule's assignment is built
 
+    tokens = [rule.token for rule in rules]
+    if fmt == "json":
+        payload = {
+            "version": __version__,
+            "rules": tokens,
+            "scope": scope.token,
+            "papers": [
+                {
+                    "set_id": set_id,
+                    "paper_id": paper_id,
+                    "citations": count,
+                    "percentiles": dict(zip(tokens, row)),
+                }
+                for set_id, paper_id, count, row in zip(set_ids, paper_ids, citations, zip(*values))
+            ],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+
+    columns = ["set_id", "paper_id", "citations"] + [f"pct_{token}" for token in tokens]
+    cells = [set_ids, paper_ids, list(map(str, citations))]
+    for column in values:
+        text_of = {value: f"{value:.6f}" for value in set(column)}
+        cells.append(list(map(text_of.__getitem__, column)))
     if fmt == "delimited":
         buffer = io.StringIO()
         buffer.write(_LEADER + "\n")
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
-        for record in ordered:
-            writer.writerow(cells(record))
+        writer.writerows(zip(*cells))
         return buffer.getvalue()
-    if fmt == "aligned":
-        title = f"citerank-i3 {__version__} paper percentiles (scope: {scope.token})"
-        return _emit_aligned_table(title, columns, (cells(record) for record in ordered))
-    if fmt == "json":
-        payload = {
-            "version": __version__,
-            "rules": [rule.token for rule in rules],
-            "scope": scope.token,
-            "papers": [
-                {
-                    "set_id": record.set_id,
-                    "paper_id": record.paper_id,
-                    "citations": record.citations,
-                    "percentiles": {
-                        rule.token: assignments[rule].entries[record.paper_id]
-                        for rule in rules
-                    },
-                }
-                for record in ordered
-            ],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    raise ValueError(f"unknown format {fmt!r} (expected one of: {', '.join(FORMATS)})")
+    title = f"citerank-i3 {__version__} paper percentiles (scope: {scope.token})"
+    return _emit_aligned_table(title, columns, zip(*cells))

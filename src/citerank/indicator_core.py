@@ -39,7 +39,6 @@ __all__ = [
     "i3",
     "percent_i3",
     "top_share",
-    "oracle_percentiles",
 ]
 
 
@@ -303,26 +302,30 @@ def percentile_of(count: int, group_counts: Iterable[int], rule: PercentileRule)
     return _rule_value(rule, lower, lower_or_equal, count, len(counts))
 
 
-def _group_key(record: CitationRecord, scope: ReferenceScope) -> str:
+def _group_labels(
+    records: list[CitationRecord], paper_ids: list[str], set_ids: list[str], scope: ReferenceScope
+) -> list[str]:
+    """Reference-group label of every record, one shared string per group."""
     if scope is ReferenceScope.GLOBAL_POOL:
-        return "all"
+        return ["all"] * len(records)
     if scope is ReferenceScope.PER_SET:
-        return record.set_id
-    if record.doc_type is None:
-        raise ValueError(
-            f"record {record.paper_id!r} has no doc_type, required by scope {scope.token!r}"
-        )
+        return set_ids
+    doc_types = [record.doc_type for record in records]
+    if None in doc_types:
+        paper_id = paper_ids[doc_types.index(None)]
+        raise ValueError(f"record {paper_id!r} has no doc_type, required by scope {scope.token!r}")
     if scope is ReferenceScope.PER_DOC_TYPE_POOL:
-        return record.doc_type
-    return f"{record.set_id}/{record.doc_type}"
+        return doc_types
+    label_of = {pair: f"{pair[0]}/{pair[1]}" for pair in set(zip(set_ids, doc_types))}
+    return list(map(label_of.__getitem__, zip(set_ids, doc_types)))
 
 
-def _check_unique_ids(records: list[CitationRecord]) -> None:
+def _raise_duplicate_id(paper_ids: list[str]) -> None:
     seen: set[str] = set()
-    for record in records:
-        if record.paper_id in seen:
-            raise ValueError(f"duplicate paper_id {record.paper_id!r}")
-        seen.add(record.paper_id)
+    for paper_id in paper_ids:
+        if paper_id in seen:
+            raise ValueError(f"duplicate paper_id {paper_id!r}")
+        seen.add(paper_id)
 
 
 def compute_percentiles(
@@ -334,10 +337,13 @@ def compute_percentiles(
 
     Records are partitioned into reference groups per ``scope``; each
     paper's percentile equals :func:`percentile_of` over its group's
-    counts. Each group's distinct citation counts are tallied and walked
-    once in ascending order, so the rule is evaluated once per distinct
-    count and every member takes its count's value. Output is independent
-    of input ordering.
+    counts. One :class:`~collections.Counter` pass tallies every
+    (group, citation count) pair; each group's distinct counts are then
+    walked once in ascending order, so the rule is evaluated once per
+    distinct count and every member takes its count's value by lookup.
+    The per-member work runs in ``zip``/``map``/``dict`` rather than a
+    Python loop, and each group's label is one string shared by its
+    members. Output is independent of input ordering.
 
     Args:
         records: Citation records with unique paper_ids; non-empty.
@@ -351,69 +357,33 @@ def compute_percentiles(
     recs = list(records)
     if not recs:
         raise ValueError("empty input")
-    _check_unique_ids(recs)
-    groups: dict[str, list[CitationRecord]] = defaultdict(list)
-    for record in recs:
-        groups[_group_key(record, scope)].append(record)
+    paper_ids = [record.paper_id for record in recs]
+    set_ids = [record.set_id for record in recs]
+    set_of = dict(zip(paper_ids, set_ids))
+    if len(set_of) != len(recs):
+        _raise_duplicate_id(paper_ids)
+    labels = _group_labels(recs, paper_ids, set_ids, scope)
+    counts = [record.citations for record in recs]
 
-    entries: dict[str, float] = {}
-    group_keys: dict[str, str] = {}
-    set_ids: dict[str, str] = {}
-    for key, members in groups.items():
-        tally = Counter(m.citations for m in members)
-        n = len(members)
-        value_of: dict[int, float] = {}
-        lower = 0
-        for count in sorted(tally):
-            tied = tally[count]
-            value_of[count] = _rule_value(rule, lower, lower + tied, count, n)
-            lower += tied
-        for m in members:
-            entries[m.paper_id] = value_of[m.citations]
-            group_keys[m.paper_id] = key
-            set_ids[m.paper_id] = m.set_id
-    return PercentileAssignment(entries, group_keys, set_ids, rule, scope)
+    sizes = Counter(labels)
+    value_of: dict[tuple[str, int], float] = {}
+    group = None
+    lower = 0
+    for key, tied in sorted(Counter(zip(labels, counts)).items()):
+        label, count = key
+        if label != group:
+            group, lower = label, 0
+        value_of[key] = _rule_value(rule, lower, lower + tied, count, sizes[label])
+        lower += tied
 
-
-def oracle_percentiles(
-    records: Iterable[CitationRecord], rule: PercentileRule
-) -> PercentileAssignment:
-    """Quadratic pairwise-comparison reference for :func:`compute_percentiles`.
-
-    Tallies lower / lower-or-equal items by explicit comparison against
-    every group member instead of rank lookups in a sorted list. Scope is
-    fixed to PER_SET. Must match :func:`compute_percentiles` exactly.
-    """
-    recs = list(records)
-    if not recs:
-        raise ValueError("empty input")
-    _check_unique_ids(recs)
-    by_set: dict[str, list[CitationRecord]] = defaultdict(list)
-    for record in recs:
-        by_set[record.set_id].append(record)
-
-    entries: dict[str, float] = {}
-    group_keys: dict[str, str] = {}
-    set_ids: dict[str, str] = {}
-    for set_id, members in by_set.items():
-        counts = [m.citations for m in members]
-        n = len(counts)
-        for m in members:
-            c = m.citations
-            lower = sum(1 for x in counts if x < c)
-            lower_or_equal = sum(1 for x in counts if x <= c)
-            if rule is PercentileRule.QUANTILE:
-                value = 100.0 * lower / n
-            elif rule is PercentileRule.LB09:
-                value = (1000 * lower + 900) / (10 * n)
-            elif rule is PercentileRule.ROUSSEAU_RAW:
-                value = 100.0 * lower_or_equal / n
-            else:
-                value = 0.0 if c == 0 else 100.0 * lower_or_equal / n
-            entries[m.paper_id] = value
-            group_keys[m.paper_id] = set_id
-            set_ids[m.paper_id] = set_id
-    return PercentileAssignment(entries, group_keys, set_ids, rule, ReferenceScope.PER_SET)
+    entries = dict(zip(paper_ids, map(value_of.__getitem__, zip(labels, counts))))
+    if scope is ReferenceScope.GLOBAL_POOL:
+        group_keys = dict.fromkeys(paper_ids, "all")
+    elif scope is ReferenceScope.PER_SET:
+        group_keys = set_of  # the labels are the set ids, so one mapping serves both fields
+    else:
+        group_keys = dict(zip(paper_ids, labels))
+    return PercentileAssignment(entries, group_keys, set_of, rule, scope)
 
 
 def classify(percentile: float, scheme: RankClassScheme) -> float:

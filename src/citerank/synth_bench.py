@@ -40,7 +40,11 @@ __all__ = [
     "override_seeds",
     "emit_divergence",
     "fixture_path",
+    "MAX_SET_SIZE",
 ]
+
+# Largest n a set spec accepts; generating a set holds all of its records in memory.
+MAX_SET_SIZE = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -57,10 +61,14 @@ class SetSpec:
     def __post_init__(self) -> None:
         if self.n <= 0:
             raise ValueError(f"set {self.set_id!r}: n must be positive")
+        if self.n > MAX_SET_SIZE:
+            raise ValueError(f"set {self.set_id!r}: n must be at most {MAX_SET_SIZE:,}")
         if not 0.0 <= self.uncited_share <= 1.0:
             raise ValueError(f"set {self.set_id!r}: uncited_share outside [0, 1]")
-        if self.sigma < 0.0:
-            raise ValueError(f"set {self.set_id!r}: sigma must be non-negative")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"set {self.set_id!r}: mu must be finite")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"set {self.set_id!r}: sigma must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -108,6 +116,8 @@ def generate_set(spec: SetSpec) -> list[CitationRecord]:
     taken in exact decimal (0.29 of 100 is 29, where binary floating point
     gives 28); the rest get ``floor(lognormal(mu, sigma))`` citations
     clamped to >= 1. Uses a fresh PCG64 stream seeded with ``spec.seed``.
+    Raises ``ValueError`` naming the set when a draw is not finite or is
+    at least ``2**63``, so it cannot be stored as a citation count.
     """
     # numpy is imported here so that commands which generate nothing never load it.
     import numpy as np
@@ -118,6 +128,12 @@ def generate_set(spec: SetSpec) -> list[CitationRecord]:
     if n_cited > 0:
         rng = np.random.default_rng(spec.seed)
         draws = rng.lognormal(mean=spec.mu, sigma=spec.sigma, size=n_cited)
+        # NaN and infinity fail this comparison too.
+        if not (draws < 2.0**63).all():
+            raise ValueError(
+                f"set {spec.set_id!r}: lognormal(mu={spec.mu}, sigma={spec.sigma}) drew a count "
+                "that is not finite or is at least 2**63"
+            )
         counts.extend(int(c) for c in np.maximum(np.floor(draws), 1.0).astype(np.int64))
     return [
         CitationRecord(spec.set_id, f"{spec.set_id}-{index:05d}", count)
@@ -242,9 +258,23 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         specs.append(SetSpec(**entry))
 
     rule_tokens = payload.get("rules", [rule.token for rule in PercentileRule])
+    if (
+        not isinstance(rule_tokens, list)
+        or not all(isinstance(token, str) for token in rule_tokens)
+        or len(set(rule_tokens)) != len(rule_tokens)
+    ):
+        raise ValueError(
+            f"experiment config {path}: key 'rules' must be a list of distinct strings, "
+            f"got {rule_tokens!r}"
+        )
+    scheme_token = payload.get("scheme", "p100")
+    scope_token = payload.get("scope", "global")
+    for key, value in (("scheme", scheme_token), ("scope", scope_token)):
+        if not isinstance(value, str):
+            raise ValueError(f"experiment config {path}: key {key!r} must be a string, got {value!r}")
     rules = tuple(PercentileRule.from_token(token) for token in rule_tokens)
-    scheme = RankClassScheme.from_token(payload.get("scheme", "p100"))
-    scope = ReferenceScope.from_token(payload.get("scope", "global"))
+    scheme = RankClassScheme.from_token(scheme_token)
+    scope = ReferenceScope.from_token(scope_token)
     return ExperimentConfig(tuple(specs), rules, scheme, scope)
 
 

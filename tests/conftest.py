@@ -2,7 +2,15 @@ from __future__ import annotations
 
 import pytest
 
-from citerank import CitationRecord
+from citerank import CitationRecord, ReferenceScope
+
+# Reference group of a record under each scope, written out independently of the package.
+GROUP_OF_SCOPE = {
+    ReferenceScope.GLOBAL_POOL: lambda record: "all",
+    ReferenceScope.PER_SET: lambda record: record.set_id,
+    ReferenceScope.PER_DOC_TYPE_POOL: lambda record: record.doc_type,
+    ReferenceScope.PER_SET_AND_DOC_TYPE: lambda record: (record.set_id, record.doc_type),
+}
 
 
 def make_records(counts, set_id="A", prefix=None, doc_type=None):

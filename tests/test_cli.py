@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,33 @@ def test_simulate_malformed_config_is_one_line_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "simulate", "--config", str(path))
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "set #0 key 'n'" in err
+
+
+@pytest.mark.parametrize(
+    "entry,extra,message",
+    [
+        ({"mu": "Infinity"}, {}, "set 'A': mu must be finite"),
+        ({"sigma": "NaN"}, {}, "set 'A': sigma must be finite and non-negative"),
+        ({"uncited_share": "NaN"}, {}, "set 'A': uncited_share outside [0, 1]"),
+        ({"n": 10_000_001}, {}, "set 'A': n must be at most 10,000,000"),
+        ({"mu": 800}, {}, "set 'A': lognormal(mu=800, sigma=1.0) drew a count that is not finite"),
+        ({}, {"scheme": 5}, "key 'scheme' must be a string, got 5"),
+        ({}, {"rules": "quantile"}, "key 'rules' must be a list of distinct strings, got 'quantile'"),
+        ({}, {"rules": ["quantile", "quantile"]}, "key 'rules' must be a list of distinct strings"),
+    ],
+)
+def test_simulate_bad_parameters_are_one_line_errors(capsys, tmp_path, entry, extra, message):
+    sets = [{"set_id": "A", "n": 50, "uncited_share": 0.2, **entry},
+            {"set_id": "B", "n": 50, "uncited_share": 0.2}]
+    path = tmp_path / "exp.json"
+    # json.dumps writes float("nan") as NaN; the strings stand in for the bare JSON tokens
+    text = json.dumps({"sets": sets, **extra}).replace('"Infinity"', "Infinity").replace('"NaN"', "NaN")
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy cast warning would surface as an exception
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and message in err
 
 
 def test_cli_import_does_not_load_numpy():

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import csv
 import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from citerank import (
     NSF6,
     P100,
+    TOP10,
     AnalysisConfig,
     CitationRecord,
     InputDataset,
@@ -22,14 +26,17 @@ from citerank import (
     fixture_path,
     i3,
     load_records,
-    oracle_percentiles,
     pair_key,
     parse_ranking_table,
     parse_records,
     percent_i3,
+    percentile_of,
     run_analysis,
     top_share,
 )
+from citerank import data_pipeline
+from conftest import GROUP_OF_SCOPE
+from exact_oracle import oracle_entries
 
 QUANTILE = PercentileRule.QUANTILE
 
@@ -156,10 +163,10 @@ def test_pooled_fixture_matches_oracle():
         CitationRecord("pool", record.paper_id, record.citations)
         for record in dataset.records
     ]
-    oracle = oracle_percentiles(pooled, QUANTILE)
+    oracle = oracle_entries(pooled, QUANTILE)
     by_set: dict[str, list[float]] = {"A": [], "B": []}
     for record in dataset.records:
-        by_set[record.set_id].append(oracle.entries[record.paper_id])
+        by_set[record.set_id].append(oracle[record.paper_id])
     import math
 
     totals = {set_id: math.fsum(values) for set_id, values in by_set.items()}
@@ -303,7 +310,7 @@ def test_aligned_output_is_deterministic(report):
 
 
 def test_emit_empty_report_rejected(report):
-    empty = RankingReport((), report.rules, report.schemes, report.scope, report.generated_at)
+    empty = RankingReport((), report.rules, report.schemes, report.scope)
     with pytest.raises(ValueError, match="empty report"):
         emit_ranking_table(empty)
 
@@ -322,3 +329,166 @@ def test_paper_percentile_table():
     payload = json.loads(emit_paper_percentiles(dataset, (QUANTILE,), fmt="json"))
     assert payload["papers"][0]["paper_id"] == "a1"
     assert payload["papers"][0]["percentiles"]["quantile"] == 0.0
+
+
+# --- per-paper table by column ------------------------------------------------
+
+# Ids carry commas and quotes, and are numbered so that paper_id order differs from set order.
+paper_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["B", "A", 'C,"q"']),
+        st.sampled_from(["", ",", '"', 'x"y,z']),
+        st.integers(min_value=0, max_value=9),
+        st.sampled_from(["article", "review"]),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+def _expected_paper_table(records, scope):
+    """(set_id, paper_id, citations, {rule: percentile}) rows, straight from percentile_of."""
+    group_of = GROUP_OF_SCOPE[scope]
+    groups: dict[object, list[int]] = {}
+    for record in records:
+        groups.setdefault(group_of(record), []).append(record.citations)
+    return [
+        (
+            record.set_id,
+            record.paper_id,
+            record.citations,
+            {
+                rule: percentile_of(record.citations, groups[group_of(record)], rule)
+                for rule in PercentileRule
+            },
+        )
+        for record in sorted(records, key=lambda record: (record.set_id, record.paper_id))
+    ]
+
+
+@settings(deadline=None)
+@given(rows=paper_rows)
+def test_paper_table_matches_percentile_of_in_every_scope_and_format(rows):
+    records = tuple(
+        CitationRecord(set_id, f"{len(rows) - i:02d}{suffix}", count, doc_type)
+        for i, (set_id, suffix, count, doc_type) in enumerate(rows)
+    )
+    dataset = InputDataset(records)
+    rules = tuple(PercentileRule)
+    tokens = [rule.token for rule in rules]
+    header = ["set_id", "paper_id", "citations"] + [f"pct_{token}" for token in tokens]
+    for scope in ReferenceScope:
+        expected = _expected_paper_table(records, scope)
+        cells = [
+            [set_id, paper_id, str(count)] + [f"{values[rule]:.6f}" for rule in rules]
+            for set_id, paper_id, count, values in expected
+        ]
+
+        delimited = emit_paper_percentiles(dataset, rules, scope, "delimited")
+        lines = delimited.splitlines(keepends=True)
+        assert lines[0] == "# citerank-i3 0.1.0\n"
+        assert list(csv.reader(lines[1:])) == [header] + cells
+
+        payload = json.loads(emit_paper_percentiles(dataset, rules, scope, "json"))
+        assert payload["rules"] == tokens and payload["scope"] == scope.token
+        assert payload["papers"] == [
+            {
+                "set_id": set_id,
+                "paper_id": paper_id,
+                "citations": count,
+                "percentiles": {rule.token: value for rule, value in values.items()},
+            }
+            for set_id, paper_id, count, values in expected
+        ]
+
+        aligned = emit_paper_percentiles(dataset, rules, scope, "aligned").splitlines()
+        assert aligned[:2] == [f"citerank-i3 0.1.0 paper percentiles (scope: {scope.token})", ""]
+        widths = [max(len(row[i]) for row in [header] + cells) for i in range(len(header))]
+        for line, row in zip(aligned[2:], [header] + cells, strict=True):
+            padded = [row[0].ljust(widths[0])] + [cell.rjust(widths[i]) for i, cell in enumerate(row) if i]
+            assert line == "  ".join(padded).rstrip()
+
+
+def test_paper_table_duplicate_id_error_unchanged():
+    records = (
+        CitationRecord("A", "p1", 1, "article"),
+        CitationRecord("A", "p2", 2),
+        CitationRecord("B", "p1", 3, "article"),
+    )
+    # the duplicate is reported before the missing doc_type of p2
+    for scope in ReferenceScope:
+        with pytest.raises(ValueError, match=r"^duplicate paper_id 'p1'$"):
+            emit_paper_percentiles(InputDataset(records), (QUANTILE,), scope)
+        with pytest.raises(ValueError, match=r"^duplicate paper_id 'p1'$"):
+            compute_percentiles(records, QUANTILE, scope)
+
+
+@pytest.mark.parametrize("scope", [ReferenceScope.PER_DOC_TYPE_POOL, ReferenceScope.PER_SET_AND_DOC_TYPE])
+def test_paper_table_missing_doc_type_error_unchanged(scope):
+    records = (
+        CitationRecord("A", "p1", 1, "article"),
+        CitationRecord("A", "p2", 2),
+        CitationRecord("B", "p3", 3),
+    )
+    message = rf"^record 'p2' has no doc_type, required by scope '{scope.token}'$"
+    with pytest.raises(ValueError, match=message):
+        emit_paper_percentiles(InputDataset(records), (QUANTILE,), scope)
+    with pytest.raises(ValueError, match=message):
+        run_analysis(InputDataset(records), AnalysisConfig(scope=scope))
+
+
+def _count_tallies(monkeypatch):
+    calls = []
+
+    def counting(records, rule, scope=ReferenceScope.GLOBAL_POOL):
+        calls.append(rule)
+        return compute_percentiles(records, rule, scope)
+
+    monkeypatch.setattr(data_pipeline, "compute_percentiles", counting)
+    return calls
+
+
+def test_run_analysis_tallies_once_per_rule(monkeypatch):
+    calls = _count_tallies(monkeypatch)
+    rules = tuple(PercentileRule)
+    report = run_analysis(_dataset(TWO_SET_CSV), AnalysisConfig(rules, (P100, NSF6, TOP10)))
+    assert calls == list(rules)
+    assert len(report.rows) == 2
+
+
+@pytest.mark.parametrize("fmt", ["delimited", "aligned", "json"])
+def test_paper_table_tallies_once_per_rule(monkeypatch, fmt):
+    calls = _count_tallies(monkeypatch)
+    rules = (PercentileRule.LB09, QUANTILE, PercentileRule.ROUSSEAU_REVISED)
+    emit_paper_percentiles(_dataset(TWO_SET_CSV), rules, ReferenceScope.PER_SET, fmt)
+    assert calls == list(rules)
+
+
+# --- malformed input never escapes as anything but ValueError ---------------------
+
+def test_parse_reports_csv_module_errors_as_value_errors():
+    huge = "x" * (csv.field_size_limit() + 1)
+    with pytest.raises(ValueError, match="malformed CSV at line 2 of inline: field larger"):
+        _dataset(f"set_id,paper_id,citations\nA,{huge},1\n")
+
+
+csv_text = st.one_of(
+    st.text(),
+    st.builds(
+        "".join,
+        st.tuples(
+            st.sampled_from(["set_id,paper_id,citations\n", "\ufeffset_id,paper_id,citations,doc_type\r\n",
+                             "citations, set_id ,paper_id\n", "set_id,set_id,paper_id,citations\n"]),
+            st.text(alphabet=st.sampled_from('AB,"\r\n 0123456789-+_\x00\ufeff\uff15.x'), max_size=80),
+        ),
+    ),
+)
+
+
+@given(text=csv_text, newline=st.sampled_from([None, ""]))
+def test_parse_records_fuzz_loads_or_raises_value_error(text, newline):
+    # a stream opened without newline="" leaves a lone "\r" inside a line, which csv rejects
+    try:
+        dataset = parse_records(io.StringIO(text, newline=newline))
+    except ValueError:
+        return
+    assert all(record.citations >= 0 and record.paper_id for record in dataset.records)

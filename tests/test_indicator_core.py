@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from scipy.stats import percentileofscore
 from hypothesis import strategies as st
 
 from citerank import (
@@ -22,13 +23,13 @@ from citerank import (
     classify,
     compute_percentiles,
     i3,
-    oracle_percentiles,
     percent_i3,
     percentile_of,
     top_share,
 )
 from citerank.indicator_core import _rule_value
-from conftest import make_records
+from conftest import GROUP_OF_SCOPE, make_records
+from exact_oracle import exact_percentile, oracle_entries
 
 RULES = list(PercentileRule)
 
@@ -323,12 +324,23 @@ def test_top_share_unknown_set(worked_assignment):
 # --- oracle -------------------------------------------------------------------
 
 def test_oracle_examples(worked_set):
-    oracle = oracle_percentiles(worked_set, PercentileRule.QUANTILE)
-    assert oracle.entries == {"a0": 0.0, "a1": 20.0, "a2": 20.0, "a3": 60.0, "a4": 80.0}
-    raw = oracle_percentiles(make_records([3, 3, 3]), PercentileRule.ROUSSEAU_RAW)
-    assert raw.entries == {"a0": 100.0, "a1": 100.0, "a2": 100.0}
-    revised = oracle_percentiles(make_records([0]), PercentileRule.ROUSSEAU_REVISED)
-    assert revised.entries == {"a0": 0.0}
+    oracle = oracle_entries(worked_set, PercentileRule.QUANTILE)
+    assert oracle == {"a0": 0.0, "a1": 20.0, "a2": 20.0, "a3": 60.0, "a4": 80.0}
+    raw = oracle_entries(make_records([3, 3, 3]), PercentileRule.ROUSSEAU_RAW)
+    assert raw == {"a0": 100.0, "a1": 100.0, "a2": 100.0}
+    revised = oracle_entries(make_records([0]), PercentileRule.ROUSSEAU_REVISED)
+    assert revised == {"a0": 0.0}
+    assert exact_percentile(1, [0, 1, 2], "lb09") == Fraction(190, 3)
+
+
+@given(group=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=50), data=st.data())
+def test_exact_oracle_agrees_with_scipy_percentileofscore(group, data):
+    # scipy multiplies by a rounded 100/n, so it agrees to within rounding, not bit for bit
+    score = data.draw(st.sampled_from(group))
+    strict = percentileofscore(group, score, kind="strict")
+    weak = percentileofscore(group, score, kind="weak")
+    assert float(exact_percentile(score, group, "quantile")) == pytest.approx(strict, rel=1e-12, abs=1e-12)
+    assert float(exact_percentile(score, group, "rousseau-raw")) == pytest.approx(weak, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -338,8 +350,7 @@ def test_oracle_matches_compute_on_random_sets(rule):
         counts = [rnd.randint(0, 50) for _ in range(rnd.randint(1, 80))]
         records = make_records(counts)
         fast = compute_percentiles(records, rule, ReferenceScope.PER_SET)
-        slow = oracle_percentiles(records, rule)
-        assert fast.entries == slow.entries
+        assert fast.entries == oracle_entries(records, rule)
 
 
 # --- invariants (property-based) ----------------------------------------------
@@ -455,14 +466,6 @@ multi_set_rows = st.lists(
     max_size=40,
 )
 
-_TEST_GROUP_KEY = {
-    ReferenceScope.GLOBAL_POOL: lambda record: "all",
-    ReferenceScope.PER_SET: lambda record: record.set_id,
-    ReferenceScope.PER_DOC_TYPE_POOL: lambda record: record.doc_type,
-    ReferenceScope.PER_SET_AND_DOC_TYPE: lambda record: (record.set_id, record.doc_type),
-}
-
-
 @given(rows=multi_set_rows)
 def test_compute_percentiles_and_set_index_match_brute_force(rows):
     records = [
@@ -470,7 +473,7 @@ def test_compute_percentiles_and_set_index_match_brute_force(rows):
         for i, (set_id, count, doc_type) in enumerate(rows)
     ]
     set_ids = {record.set_id for record in records}
-    for scope, group_key in _TEST_GROUP_KEY.items():
+    for scope, group_key in GROUP_OF_SCOPE.items():
         groups = {}
         for record in records:
             groups.setdefault(group_key(record), []).append(record.citations)
@@ -502,11 +505,11 @@ def test_lb09_on_a_class_bound_is_exactly_on_it():
     # n=21, lower=18: (100 * 18 + 90) / 21 is exactly 90, the nsf6 class-4 and top-10% bound
     records = make_records(range(21))
     fast = compute_percentiles(records, PercentileRule.LB09, ReferenceScope.PER_SET)
-    slow = oracle_percentiles(records, PercentileRule.LB09)
-    for assignment in (fast, slow):
-        assert assignment.entries["a18"] == 90.0
-        assert classify(assignment.entries["a18"], NSF6) == 4
-        assert classify(assignment.entries["a18"], TOP10) == 2
+    slow = oracle_entries(records, PercentileRule.LB09)
+    for entries in (fast.entries, slow):
+        assert entries["a18"] == 90.0
+        assert classify(entries["a18"], NSF6) == 4
+        assert classify(entries["a18"], TOP10) == 2
 
 
 def test_lb09_classes_exact_for_every_group_up_to_2000():

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from citerank import (
     P100,
@@ -17,7 +19,7 @@ from citerank import (
     override_seeds,
     run_divergence_experiment,
 )
-from citerank.synth_bench import emit_divergence
+from citerank.synth_bench import MAX_SET_SIZE, emit_divergence
 
 QUANTILE = PercentileRule.QUANTILE
 LB09 = PercentileRule.LB09
@@ -74,6 +76,36 @@ def test_unique_paper_ids():
 def test_spec_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
         SetSpec("S", **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        (dict(uncited_share=math.nan), "uncited_share"),
+        (dict(uncited_share=math.inf), "uncited_share"),
+        (dict(mu=math.inf), "mu must be finite"),
+        (dict(mu=-math.inf), "mu must be finite"),
+        (dict(mu=math.nan), "mu must be finite"),
+        (dict(sigma=math.nan), "sigma must be finite"),
+        (dict(sigma=math.inf), "sigma must be finite"),
+        (dict(n=MAX_SET_SIZE + 1), "n must be at most 10,000,000"),
+    ],
+)
+def test_spec_rejects_non_finite_parameters_and_huge_sets(kwargs, match):
+    with pytest.raises(ValueError, match=rf"^set 'S': {match}"):
+        SetSpec("S", **{"n": 5, "uncited_share": 0.5, **kwargs})
+
+
+@pytest.mark.parametrize("mu,sigma", [(800.0, 1.0), (44.0, 0.0), (1.0, 1e300)])
+def test_generate_set_rejects_draws_beyond_int64(mu, sigma):
+    # exp(44) is about 1.3e19, above 2**63; exp(800) and sigma 1e300 overflow to infinity
+    with pytest.raises(ValueError, match=r"^set 'S': lognormal\(mu=.*\) drew a count that is not finite"):
+        generate_set(SetSpec("S", n=20, uncited_share=0.1, mu=mu, sigma=sigma))
+
+
+def test_generate_set_largest_finite_draws_stay_counts():
+    records = generate_set(SetSpec("S", n=20, uncited_share=0.0, mu=43.0, sigma=0.0))
+    assert {record.citations for record in records} == {math.floor(math.exp(43.0))}
 
 
 # --- divergence experiment ------------------------------------------------------
@@ -184,6 +216,59 @@ def test_config_rejects_malformed_set_entries(tmp_path, entry, match):
     bad.write_text(json.dumps({"sets": [entry]}))
     with pytest.raises(ValueError, match=match):
         load_experiment_config(bad)
+
+
+@pytest.mark.parametrize(
+    "extra,match",
+    [
+        ({"scheme": 5}, "key 'scheme' must be a string, got 5"),
+        ({"scope": ["global"]}, "key 'scope' must be a string"),
+        ({"rules": "quantile"}, "key 'rules' must be a list of distinct strings, got 'quantile'"),
+        ({"rules": ["quantile", "quantile"]}, "key 'rules' must be a list of distinct strings"),
+        ({"rules": ["quantile", 1]}, "key 'rules' must be a list of distinct strings"),
+        ({"rules": {"quantile": 1}}, "key 'rules' must be a list of distinct strings"),
+    ],
+)
+def test_config_rejects_malformed_top_level_keys(tmp_path, extra, match):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"sets": [{"set_id": "A", "n": 10, "uncited_share": 0.5}], **extra}))
+    with pytest.raises(ValueError, match=match):
+        load_experiment_config(bad)
+
+
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+    st.sampled_from(["quantile", "lb09", "rousseau", "p100", "top10", "per-set", "global"]),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+_set_entries = st.dictionaries(
+    st.sampled_from(["set_id", "n", "uncited_share", "mu", "sigma", "seed", "extra"]),
+    _json_values,
+    max_size=7,
+)
+_configs = st.one_of(
+    _json_values,
+    st.dictionaries(
+        st.sampled_from(["sets", "rules", "scheme", "scope"]),
+        st.one_of(_json_values, st.lists(_set_entries, max_size=3)),
+        max_size=4,
+    ),
+)
+
+
+@given(config=_configs)
+def test_load_experiment_config_fuzz_loads_or_raises_value_error(tmp_path_factory, config):
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    try:
+        loaded = load_experiment_config(path)
+    except ValueError:
+        return
+    assert loaded.sets and len(set(loaded.rules)) == len(loaded.rules)
 
 
 @pytest.mark.parametrize("share,n,zeros", [(0.043, 10000, 430), (0.29, 100, 29)])
