@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from pathlib import Path
 
 from ._version import __version__
@@ -16,7 +16,14 @@ from .data_pipeline import (
     load_records,
     run_analysis,
 )
-from .indicator_core import PercentileRule, RankClassScheme, ReferenceScope
+from .indicator_core import (
+    P100,
+    PercentileRule,
+    RankClassScheme,
+    ReferenceScope,
+    compute_percentiles,
+    top_count,
+)
 from .rank_stats import ztest_proportions
 from .synth_bench import (
     divergence_from_report,
@@ -32,44 +39,25 @@ class _UsageError(ValueError):
     """Bad flag combinations detected after argparse; exits with status 2."""
 
 
-def _rule(token: str) -> PercentileRule:
-    try:
-        return PercentileRule.from_token(token)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _token(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """An argparse ``type`` that reports ``parse``'s ``ValueError`` as a usage error."""
+
+    def convert(token: str) -> object:
+        try:
+            return parse(token)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
-def _scheme(token: str) -> RankClassScheme:
-    try:
-        return RankClassScheme.from_token(token)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _scope(token: str) -> ReferenceScope:
-    try:
-        return ReferenceScope.from_token(token)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _unique_rules(rules: Sequence[PercentileRule] | None, default: list[PercentileRule]) -> tuple[PercentileRule, ...]:
-    chosen = list(rules) if rules else default
-    seen: set[PercentileRule] = set()
-    for rule in chosen:
-        if rule in seen:
-            raise _UsageError(f"duplicate rule: {rule.token}")
-        seen.add(rule)
-    return tuple(chosen)
-
-
-def _unique_schemes(schemes: Sequence[RankClassScheme] | None) -> tuple[RankClassScheme, ...]:
-    chosen = list(schemes) if schemes else [RankClassScheme.p100()]
-    seen: set[RankClassScheme] = set()
-    for scheme in chosen:
-        if scheme in seen:
-            raise _UsageError(f"duplicate scheme: {scheme.label}")
-        seen.add(scheme)
+def _distinct(kind: str, chosen: Sequence, attribute: str) -> tuple:
+    """``chosen`` as a tuple; two items that print one column label are a usage error."""
+    seen: set[str] = set()
+    for text in (getattr(item, attribute) for item in chosen):
+        if text in seen:
+            raise _UsageError(f"duplicate {kind}: {text}")
+        seen.add(text)
     return tuple(chosen)
 
 
@@ -81,8 +69,8 @@ def _write(text: str, output: str | None) -> None:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
-    rules = _unique_rules(args.rule, [PercentileRule.QUANTILE])
-    schemes = _unique_schemes(args.scheme)
+    rules = _distinct("rule", args.rule or [PercentileRule.QUANTILE], "token")
+    schemes = _distinct("scheme", args.scheme or [P100], "label")
     dataset = load_records(args.input)
     if args.per_paper:
         text = emit_paper_percentiles(dataset, rules, args.scope, args.format)
@@ -94,7 +82,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_rules(args: argparse.Namespace) -> int:
-    rules = _unique_rules(args.rule, [])
+    rules = _distinct("rule", args.rule or [], "token")
     if len(rules) < 2:
         raise _UsageError("compare-rules needs at least 2 distinct --rule flags")
     dataset = load_records(args.input)
@@ -115,15 +103,9 @@ def cmd_ztest(args: argparse.Namespace) -> int:
         if args.set_a is None or args.set_b is None:
             raise _UsageError("dataset mode requires --set-a and --set-b")
         dataset = load_records(args.input)
-        from .indicator_core import compute_percentiles
-
         assignment = compute_percentiles(dataset.records, args.rule, args.scope)
-        values_a = assignment.percentiles_for_set(args.set_a)
-        values_b = assignment.percentiles_for_set(args.set_b)
-        k1 = sum(1 for value in values_a if value >= args.threshold)
-        n1 = len(values_a)
-        k2 = sum(1 for value in values_b if value >= args.threshold)
-        n2 = len(values_b)
+        k1, n1 = top_count(assignment, args.set_a, args.threshold)
+        k2, n2 = top_count(assignment, args.set_b, args.threshold)
     else:
         if any(flag is None for flag in count_flags):
             raise _UsageError("count mode requires all of --k1 --n1 --k2 --n2")
@@ -167,14 +149,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"citerank-i3 {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    rule, scheme, scope = (
+        _token(kind.from_token) for kind in (PercentileRule, RankClassScheme, ReferenceScope)
+    )
 
     rank = sub.add_parser("rank", help="rank sets by %I3 (or emit per-paper percentiles)")
     rank.add_argument("--input", required=True, help="CSV with set_id,paper_id,citations[,doc_type]")
-    rank.add_argument("--rule", action="append", type=_rule,
+    rank.add_argument("--rule", action="append", type=rule,
                       help="counting rule (repeatable): quantile | lb09 | rousseau-raw | rousseau; default quantile")
-    rank.add_argument("--scheme", action="append", type=_scheme,
+    rank.add_argument("--scheme", action="append", type=scheme,
                       help="rank-class scheme (repeatable): p100 | nsf6 | top<P>; default p100")
-    rank.add_argument("--scope", type=_scope, default=ReferenceScope.GLOBAL_POOL,
+    rank.add_argument("--scope", type=scope, default=ReferenceScope.GLOBAL_POOL,
                       help="reference group: global | per-set | per-doc-type | per-set-and-doc-type")
     rank.add_argument("--format", choices=FORMATS, default="delimited")
     rank.add_argument("--output", help="write the report here instead of stdout")
@@ -184,9 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare-rules", help="correlate per-set %I3 across counting rules")
     compare.add_argument("--input", required=True)
-    compare.add_argument("--rule", action="append", type=_rule, help="repeat for each rule (>= 2)")
-    compare.add_argument("--scheme", type=_scheme, default=RankClassScheme.p100())
-    compare.add_argument("--scope", type=_scope, default=ReferenceScope.GLOBAL_POOL)
+    compare.add_argument("--rule", action="append", type=rule, help="repeat for each rule (>= 2)")
+    compare.add_argument("--scheme", type=scheme, default=P100)
+    compare.add_argument("--scope", type=scope, default=ReferenceScope.GLOBAL_POOL)
     compare.add_argument("--format", choices=FORMATS, default="delimited")
     compare.set_defaults(func=cmd_compare_rules)
 
@@ -200,9 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
     ztest.add_argument("--set-b", help="second set id (dataset mode)")
     ztest.add_argument("--threshold", type=float, default=90.0,
                        help="success = paper at/above this percentile (dataset mode)")
-    ztest.add_argument("--rule", type=_rule, default=PercentileRule.QUANTILE,
+    ztest.add_argument("--rule", type=rule, default=PercentileRule.QUANTILE,
                        help="counting rule for dataset mode")
-    ztest.add_argument("--scope", type=_scope, default=ReferenceScope.GLOBAL_POOL)
+    ztest.add_argument("--scope", type=scope, default=ReferenceScope.GLOBAL_POOL)
     ztest.add_argument("--one-sided", action="store_true",
                        help="also print the one-sided p-value")
     ztest.set_defaults(func=cmd_ztest)

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import re
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -48,8 +48,6 @@ __all__ = [
 REQUIRED_COLUMNS = ("set_id", "paper_id", "citations")
 
 FORMATS = ("delimited", "aligned", "json")
-
-_LEADER = f"# citerank-i3 {__version__}"
 
 # ASCII digits with an optional sign: int() alone also takes "1_000" and non-ASCII digits.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -253,39 +251,57 @@ def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport
     )
 
 
-def _report_columns(report: RankingReport) -> list[str]:
-    columns = ["set_id", "n_papers", "total_citations"]
-    for rule in report.rules:
-        for scheme in report.schemes:
-            key = pair_key(rule, scheme)
-            columns.append(f"pI3_{key}")
-            columns.append(f"rank_{key}")
-    columns.append("top_share")
-    return columns
+def _check_format(fmt: str) -> None:
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r} (expected one of: {', '.join(FORMATS)})")
 
 
-def _report_cells(report: RankingReport, row: SetReport) -> list[str]:
-    cells = [row.set_id, str(row.n_papers), str(row.total_citations)]
-    for rule in report.rules:
-        for scheme in report.schemes:
-            key = pair_key(rule, scheme)
-            cells.append(f"{row.percent_i3[key]:.6f}")
-            cells.append(str(row.rank[key]))
-    cells.append(f"{row.top_share:.6f}")
-    return cells
-
-
-def _emit_aligned_table(title: str, columns: Sequence[str], rows: Iterable[Sequence[str]]) -> str:
+def _aligned_lines(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> list[str]:
     body = [list(columns)] + [list(row) for row in rows]
     widths = [max(len(line[i]) for line in body) for i in range(len(columns))]
-    lines = [title, ""]
+    lines = []
     for line in body:
         # left-align the first (label) column, right-align the numbers
         cells = [line[0].ljust(widths[0])] + [
             cell.rjust(widths[i]) for i, cell in enumerate(line) if i > 0
         ]
         lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines) + "\n"
+    return lines
+
+
+def _render(
+    fmt: str,
+    payload: Callable[[], object],
+    title: str,
+    tables: Sequence[tuple[str | None, Sequence[str], Iterable[Sequence[str]]]],
+    aligned: Sequence[str] | None = None,
+) -> str:
+    """Render one report in one of :data:`FORMATS`.
+
+    ``payload`` builds the JSON document and is called for ``json`` only.
+    ``tables`` holds (caption, columns, rows) sections: ``delimited``
+    writes them all through one ``csv.writer`` after the ``# citerank-i3
+    <version>`` leader, each captioned section under a ``# <caption>``
+    line. The aligned form prints the program name and ``title``, a blank
+    line, then the ``aligned`` lines if given, else every section laid out
+    by :func:`_aligned_lines`.
+    """
+    _check_format(fmt)
+    if fmt == "json":
+        return json.dumps(payload(), indent=2) + "\n"
+    if fmt == "aligned":
+        if aligned is None:
+            aligned = [line for _, head, rows in tables for line in _aligned_lines(head, rows)]
+        return "\n".join([f"citerank-i3 {__version__} {title}", "", *aligned]) + "\n"
+    buffer = io.StringIO()
+    buffer.write(f"# citerank-i3 {__version__}\n")
+    writer = csv.writer(buffer, lineterminator="\n")
+    for caption, columns, rows in tables:
+        if caption is not None:
+            buffer.write(f"# {caption}\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def emit_ranking_table(report: RankingReport, fmt: str = "delimited") -> str:
@@ -296,21 +312,18 @@ def emit_ranking_table(report: RankingReport, fmt: str = "delimited") -> str:
     """
     if not report.rows:
         raise ValueError("empty report")
-    if fmt == "delimited":
-        buffer = io.StringIO()
-        buffer.write(_LEADER + "\n")
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(_report_columns(report))
-        for row in report.rows:
-            writer.writerow(_report_cells(report, row))
-        return buffer.getvalue()
-    if fmt == "aligned":
-        title = f"citerank-i3 {__version__} ranking report (scope: {report.scope.token})"
-        return _emit_aligned_table(
-            title, _report_columns(report), (_report_cells(report, row) for row in report.rows)
-        )
-    if fmt == "json":
-        payload = {
+    keys = [pair_key(rule, scheme) for rule in report.rules for scheme in report.schemes]
+    columns = ["set_id", "n_papers", "total_citations"]
+    columns += [f"{prefix}_{key}" for key in keys for prefix in ("pI3", "rank")] + ["top_share"]
+    rows = [
+        [row.set_id, str(row.n_papers), str(row.total_citations)]
+        + [cell for key in keys for cell in (f"{row.percent_i3[key]:.6f}", str(row.rank[key]))]
+        + [f"{row.top_share:.6f}"]
+        for row in report.rows
+    ]
+
+    def payload() -> dict[str, object]:
+        return {
             "version": __version__,
             "rules": [rule.token for rule in report.rules],
             "schemes": [scheme.label for scheme in report.schemes],
@@ -329,8 +342,9 @@ def emit_ranking_table(report: RankingReport, fmt: str = "delimited") -> str:
                 for row in report.rows
             ],
         }
-        return json.dumps(payload, indent=2) + "\n"
-    raise ValueError(f"unknown format {fmt!r} (expected one of: {', '.join(FORMATS)})")
+
+    title = f"ranking report (scope: {report.scope.token})"
+    return _render(fmt, payload, title, [(None, columns, rows)])
 
 
 def parse_ranking_table(text: str) -> list[dict[str, object]]:
@@ -368,8 +382,7 @@ def emit_paper_percentiles(
     """
     if not dataset.records:
         raise ValueError("empty input")
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r} (expected one of: {', '.join(FORMATS)})")
+    _check_format(fmt)
     # Two stable sorts give the (set_id, paper_id) order without building tuple keys.
     ordered = sorted(dataset.records, key=attrgetter("paper_id"))
     ordered.sort(key=attrgetter("set_id"))
@@ -384,8 +397,9 @@ def emit_paper_percentiles(
         del entries  # free it before the next rule's assignment is built
 
     tokens = [rule.token for rule in rules]
-    if fmt == "json":
-        payload = {
+
+    def payload() -> dict[str, object]:
+        return {
             "version": __version__,
             "rules": tokens,
             "scope": scope.token,
@@ -399,19 +413,11 @@ def emit_paper_percentiles(
                 for set_id, paper_id, count, row in zip(set_ids, paper_ids, citations, zip(*values))
             ],
         }
-        return json.dumps(payload, indent=2) + "\n"
 
     columns = ["set_id", "paper_id", "citations"] + [f"pct_{token}" for token in tokens]
     cells = [set_ids, paper_ids, list(map(str, citations))]
     for column in values:
         text_of = {value: f"{value:.6f}" for value in set(column)}
         cells.append(list(map(text_of.__getitem__, column)))
-    if fmt == "delimited":
-        buffer = io.StringIO()
-        buffer.write(_LEADER + "\n")
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(zip(*cells))
-        return buffer.getvalue()
-    title = f"citerank-i3 {__version__} paper percentiles (scope: {scope.token})"
-    return _emit_aligned_table(title, columns, zip(*cells))
+    title = f"paper percentiles (scope: {scope.token})"
+    return _render(fmt, payload, title, [(None, columns, zip(*cells))])

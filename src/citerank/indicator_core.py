@@ -19,6 +19,7 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "class_histogram",
     "i3",
     "percent_i3",
+    "top_count",
     "top_share",
 ]
 
@@ -156,7 +158,8 @@ class RankClassScheme:
             return cls.nsf6()
         match = _TOP_TOKEN.match(token)
         if match:
-            return cls.two_class(100.0 - float(match.group(1)))
+            # the exact decimal 100 - P, rounded once, so a percentile on the bound meets it
+            return cls.two_class(float(100 - Fraction(match.group(1))))
         raise ValueError(f"unknown scheme {token!r} (expected p100, nsf6, or top<P>)")
 
     @property
@@ -302,22 +305,28 @@ def percentile_of(count: int, group_counts: Iterable[int], rule: PercentileRule)
     return _rule_value(rule, lower, lower_or_equal, count, len(counts))
 
 
-def _group_labels(
+def _group_keys(
     records: list[CitationRecord], paper_ids: list[str], set_ids: list[str], scope: ReferenceScope
-) -> list[str]:
-    """Reference-group label of every record, one shared string per group."""
+) -> tuple[list[str] | list[int], list[str] | None]:
+    """Reference-group key of every record, and each key's label when keys are numbers.
+
+    ``per-set-and-doc-type`` numbers the (set_id, doc_type) pairs: their
+    ``"<set_id>/<doc_type>"`` labels are for display only, since ``a/b`` + ``c``
+    and ``a`` + ``b/c`` share one. Other scopes key by one label string per group.
+    """
     if scope is ReferenceScope.GLOBAL_POOL:
-        return ["all"] * len(records)
+        return ["all"] * len(records), None
     if scope is ReferenceScope.PER_SET:
-        return set_ids
+        return set_ids, None
     doc_types = [record.doc_type for record in records]
     if None in doc_types:
         paper_id = paper_ids[doc_types.index(None)]
         raise ValueError(f"record {paper_id!r} has no doc_type, required by scope {scope.token!r}")
     if scope is ReferenceScope.PER_DOC_TYPE_POOL:
-        return doc_types
-    label_of = {pair: f"{pair[0]}/{pair[1]}" for pair in set(zip(set_ids, doc_types))}
-    return list(map(label_of.__getitem__, zip(set_ids, doc_types)))
+        return doc_types, None
+    number_of = {pair: number for number, pair in enumerate(set(zip(set_ids, doc_types)))}
+    names = [f"{set_id}/{doc_type}" for set_id, doc_type in number_of]
+    return list(map(number_of.__getitem__, zip(set_ids, doc_types))), names
 
 
 def _raise_duplicate_id(paper_ids: list[str]) -> None:
@@ -342,8 +351,8 @@ def compute_percentiles(
     walked once in ascending order, so the rule is evaluated once per
     distinct count and every member takes its count's value by lookup.
     The per-member work runs in ``zip``/``map``/``dict`` rather than a
-    Python loop, and each group's label is one string shared by its
-    members. Output is independent of input ordering.
+    Python loop, and each group's key is one string (or number) shared by
+    its members. Output is independent of input ordering.
 
     Args:
         records: Citation records with unique paper_ids; non-empty.
@@ -362,7 +371,7 @@ def compute_percentiles(
     set_of = dict(zip(paper_ids, set_ids))
     if len(set_of) != len(recs):
         _raise_duplicate_id(paper_ids)
-    labels = _group_labels(recs, paper_ids, set_ids, scope)
+    labels, names = _group_keys(recs, paper_ids, set_ids, scope)
     counts = [record.citations for record in recs]
 
     sizes = Counter(labels)
@@ -382,7 +391,8 @@ def compute_percentiles(
     elif scope is ReferenceScope.PER_SET:
         group_keys = set_of  # the labels are the set ids, so one mapping serves both fields
     else:
-        group_keys = dict(zip(paper_ids, labels))
+        shown = labels if names is None else map(names.__getitem__, labels)
+        group_keys = dict(zip(paper_ids, shown))
     return PercentileAssignment(entries, group_keys, set_of, rule, scope)
 
 
@@ -437,9 +447,17 @@ def percent_i3(i3_by_set: Mapping[str, float]) -> dict[str, float]:
     return {set_id: 100.0 * value / total for set_id, value in i3_by_set.items()}
 
 
+def top_count(
+    assignment: PercentileAssignment, set_id: str, threshold: float = 90.0
+) -> tuple[int, int]:
+    """Number of a set's papers at or above the percentile threshold, and the set's size."""
+    values = assignment.percentiles_for_set(set_id)
+    return sum(1 for value in values if value >= threshold), len(values)
+
+
 def top_share(
     assignment: PercentileAssignment, set_id: str, threshold: float = 90.0
 ) -> float:
     """Fraction of a set's papers at or above the percentile threshold."""
-    values = assignment.percentiles_for_set(set_id)
-    return sum(1 for value in values if value >= threshold) / len(values)
+    k, n = top_count(assignment, set_id, threshold)
+    return k / n

@@ -9,17 +9,18 @@ identical records.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations
 from pathlib import Path
 
 from ._version import __version__
 from .data_pipeline import AnalysisConfig, InputDataset, RankingReport, pair_key, run_analysis
+from .data_pipeline import _aligned_lines, _render
 from .indicator_core import (
     P100,
     CitationRecord,
@@ -290,46 +291,31 @@ def emit_divergence(result: DivergenceResult, fmt: str = "delimited") -> str:
     """Render a divergence result as sectioned CSV, aligned text, or JSON."""
     tokens = [rule.token for rule in result.rules]
     n_sets = len(result.set_order)
-    if fmt == "delimited":
-        buffer = io.StringIO()
-        buffer.write(f"# citerank-i3 {__version__}\n")
-        buffer.write("# percent_i3\n")
-        buffer.write(",".join(["set_id"] + tokens) + "\n")
-        for position, set_id in enumerate(result.set_order):
-            shares = [f"{result.percent_i3[token][position]:.6f}" for token in tokens]
-            buffer.write(",".join([set_id] + shares) + "\n")
-        buffer.write("# correlations\n")
-        buffer.write("metric,rule_a,rule_b,coefficient,n\n")
-        for metric, matrix in (("pearson", result.pearson), ("spearman", result.spearman)):
-            for i in range(len(tokens)):
-                for j in range(i + 1, len(tokens)):
-                    buffer.write(
-                        f"{metric},{tokens[i]},{tokens[j]},{matrix[i][j]:.6f},{n_sets}\n"
-                    )
-        buffer.write("# top_ranked\n")
-        buffer.write("rule,set_id\n")
-        for token in tokens:
-            buffer.write(f"{token},{result.top_set[token]}\n")
-        return buffer.getvalue()
-    if fmt == "aligned":
-        lines = [f"citerank-i3 {__version__} rule divergence over {n_sets} sets", ""]
-        width = max(len(token) for token in tokens)
-        column = max(width, 10)
-        for metric, matrix in (("Pearson", result.pearson), ("Spearman", result.spearman)):
-            lines.append(f"{metric} correlation of percent-I3:")
-            header = " " * (width + 2) + "  ".join(token.rjust(column) for token in tokens)
-            lines.append(header)
-            for i, token in enumerate(tokens):
-                cells = "  ".join(f"{matrix[i][j]:{column}.6f}" for j in range(len(tokens)))
-                lines.append(f"{token.ljust(width + 2)}{cells}")
-            lines.append("")
-        lines.append("Top-ranked set per rule:")
-        for token in tokens:
-            lines.append(f"  {token.ljust(width)}  {result.top_set[token]}")
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        return json.dumps(result.to_dict(), indent=2) + "\n"
-    raise ValueError(f"unknown format {fmt!r} (expected delimited, aligned, or json)")
+    matrices = (("pearson", result.pearson), ("spearman", result.spearman))
+    tables = [
+        ("percent_i3", ["set_id"] + tokens, (
+            [set_id] + [f"{result.percent_i3[token][position]:.6f}" for token in tokens]
+            for position, set_id in enumerate(result.set_order)
+        )),
+        ("correlations", ["metric", "rule_a", "rule_b", "coefficient", "n"], (
+            [metric, tokens[i], tokens[j], f"{matrix[i][j]:.6f}", str(n_sets)]
+            for metric, matrix in matrices
+            for i, j in combinations(range(len(tokens)), 2)
+        )),
+        ("top_ranked", ["rule", "set_id"], ([token, result.top_set[token]] for token in tokens)),
+    ]
+    width = max(len(token) for token in tokens)
+    column = max(width, 10)  # cells are padded to one width shared by every matrix column
+    aligned: list[str] = []
+    for metric, matrix in matrices:
+        header = [""] + [token.rjust(column) for token in tokens]
+        rows = [[token] + [f"{value:{column}.6f}" for value in row] for token, row in zip(tokens, matrix)]
+        aligned.append(f"{metric.capitalize()} correlation of percent-I3:")
+        aligned += _aligned_lines(header, rows) + [""]
+    aligned.append("Top-ranked set per rule:")
+    aligned += [f"  {token.ljust(width)}  {result.top_set[token]}" for token in tokens]
+    title = f"rule divergence over {n_sets} sets"
+    return _render(fmt, result.to_dict, title, tables, aligned)
 
 
 def fixture_path(name: str) -> Path:

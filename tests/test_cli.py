@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -92,6 +93,14 @@ def test_rank_duplicate_rule_is_usage_error(capsys, multi_csv):
     assert "duplicate rule" in err
 
 
+def test_rank_schemes_with_one_column_label_are_a_usage_error(capsys, multi_csv):
+    # both print as top12.3456, so their pI3/rank columns would share one name
+    code, out, err = run_cli(
+        capsys, "rank", "--input", multi_csv, "--scheme", "top12.34561", "--scheme", "top12.34562"
+    )
+    assert (code, out, err) == (2, "", "error: duplicate scheme: top12.3456\n")
+
+
 def test_rank_unknown_rule_token(capsys, multi_csv):
     with pytest.raises(SystemExit) as excinfo:
         main(["rank", "--input", multi_csv, "--rule", "median"])
@@ -151,6 +160,48 @@ def test_compare_rules_two_sets_warns_but_succeeds(capsys, tmp_path):
     assert code == 0
     assert "degenerate" in err
     assert "pearson," in out
+
+
+def _delimited_sections(text):
+    """Section caption -> rows (header first) of a sectioned delimited report."""
+    sections = {}
+    for line in text.splitlines()[1:]:
+        if line.startswith("# "):
+            rows = sections[line[2:]] = []
+        else:
+            rows.append(line)
+    return {caption: list(csv.reader(rows)) for caption, rows in sections.items()}
+
+
+def _assert_rows_as_wide_as_header(text):
+    sections = _delimited_sections(text)
+    assert list(sections) == ["percent_i3", "correlations", "top_ranked"]
+    for rows in sections.values():
+        assert {len(row) for row in rows} == {len(rows[0])}
+    return sections
+
+
+def test_divergence_delimited_quotes_set_ids(capsys, tmp_path):
+    path = tmp_path / "comma.csv"
+    path.write_text('set_id,paper_id,citations\n"A,x",a1,9\n"A,x",a2,8\nB,b1,0\nB,b2,1\nC,c1,2\nC,c2,5\n')
+    code, out, err = run_cli(
+        capsys, "compare-rules", "--input", str(path), "--rule", "quantile", "--rule", "rousseau"
+    )
+    assert code == 0 and err == ""
+    sections = _assert_rows_as_wide_as_header(out)
+    assert [row[0] for row in sections["percent_i3"][1:]] == ["A,x", "B", "C"]
+    assert sections["top_ranked"][1:] == [["quantile", "A,x"], ["rousseau", "A,x"]]
+
+    config = {"sets": [{"set_id": "A,x", "n": 50, "uncited_share": 0.0, "mu": 3.0, "seed": 1},
+                       {"set_id": "B", "n": 50, "uncited_share": 0.5, "seed": 2},
+                       {"set_id": "C", "n": 50, "uncited_share": 0.3, "seed": 3}]}
+    path = tmp_path / "comma.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--format", "delimited")
+    assert code == 0 and err == ""
+    sections = _assert_rows_as_wide_as_header(out)
+    assert sections["percent_i3"][1][0] == "A,x"
+    assert ["quantile", "A,x"] in sections["top_ranked"]
 
 
 # --- ztest ------------------------------------------------------------------------

@@ -156,6 +156,16 @@ def test_scope_partitions():
     assert crossed.entries["a3"] == 0.0  # alone in its group
 
 
+def test_per_set_and_doc_type_groups_by_the_pair_not_its_joined_label():
+    # both pairs join to "a/b/c"; each paper is alone in its group, so scores 0 under quantile
+    records = [CitationRecord("a/b", "p1", 0, "c"), CitationRecord("a", "p2", 5, "b/c")]
+    crossed = compute_percentiles(
+        records, PercentileRule.QUANTILE, ReferenceScope.PER_SET_AND_DOC_TYPE
+    )
+    assert crossed.entries == {"p1": 0.0, "p2": 0.0}
+    assert crossed.group_keys == {"p1": "a/b/c", "p2": "a/b/c"}
+
+
 def test_compute_percentiles_order_independent(worked_set):
     shuffled = list(worked_set)
     random.Random(7).shuffle(shuffled)
@@ -212,6 +222,13 @@ def test_scheme_validation():
         RankClassScheme.from_token("p99")
     assert RankClassScheme.from_token("top10") == TOP10
     assert RankClassScheme.from_token("nsf6") is not None
+
+
+def test_top_token_threshold_is_the_exact_decimal_bound():
+    # 100.0 - 64.1 is 35.900000000000006, which put a quantile of exactly 35.9 in class 1
+    scheme = RankClassScheme.from_token("top64.1")
+    assert scheme.threshold == 35.9 and scheme.label == "top64.1"
+    assert classify(_rule_value(PercentileRule.QUANTILE, 359, 360, 359, 1000), scheme) == 2
 
 
 def test_nsf6_bounds_partition_axis():
@@ -526,3 +543,38 @@ def test_lb09_classes_exact_for_every_group_up_to_2000():
             value = _rule_value(PercentileRule.LB09, lower, lower + 1, lower + 1, n)
             for scheme, first in firsts:
                 assert classify(value, scheme) == bisect_right(first, lower), (n, lower)
+
+
+# Exact value of each rule for a paper with `lower` papers below it and none tied, as a
+# (numerator, denominator) pair; rousseau's paper is uncited when lower is 0.
+_EXACT = {
+    PercentileRule.QUANTILE: lambda lower, n: (100 * lower, n),
+    PercentileRule.LB09: lambda lower, n: (100 * lower + 90, n),
+    PercentileRule.ROUSSEAU_RAW: lambda lower, n: (100 * (lower + 1), n),
+    PercentileRule.ROUSSEAU_REVISED: lambda lower, n: (100 * (lower + 1) if lower else 0, n),
+}
+
+
+@pytest.mark.parametrize("rule", RULES)
+def test_classes_exact_on_every_bound_for_groups_up_to_300(rule):
+    # For every (n, lower), the exact value v = num / den is checked against the nsf6 and
+    # top-10% bounds and against the two top<P> bounds with two decimals next to it: the
+    # threshold 100 - P = b / 100 with b = floor(100 v) (equal to v when 100 v is whole) and
+    # b + 1. The expected class is decided in integers: v >= b / 100 iff 100 num >= b den.
+    tops: dict[int, RankClassScheme] = {}
+    fixed = [(scheme, [int(100 * bound) for bound in scheme.lower_bounds]) for scheme in (NSF6, TOP10)]
+    for n in range(1, 301):
+        for lower in range(n):
+            value = _rule_value(rule, lower, lower + 1, lower, n)
+            num, den = _EXACT[rule](lower, n)
+            assert value == num / den, (n, lower)  # int / int is correctly rounded
+            for scheme, bounds in fixed:
+                assert classify(value, scheme) == sum(100 * num >= b * den for b in bounds), (n, lower)
+            floor_b = 100 * num // den
+            for b in (floor_b, floor_b + 1):
+                if 0 < b < 10000:
+                    if b not in tops:
+                        top = 10000 - b
+                        tops[b] = RankClassScheme.from_token(f"top{top // 100}.{top % 100:02d}")
+                    expected = 2 if 100 * num >= b * den else 1
+                    assert classify(value, tops[b]) == expected, (n, lower, tops[b].label)
