@@ -12,20 +12,24 @@ import csv
 import io
 import json
 import re
+import sys
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import TextIO
 
 from ._version import __version__
 from .indicator_core import (
     P100,
-    CitationRecord,
+    CitationTable,
     PercentileRule,
     RankClassScheme,
     ReferenceScope,
     SetReport,
+    _check_threshold,
     compute_percentiles,
     i3,
     percent_i3,
@@ -49,16 +53,26 @@ REQUIRED_COLUMNS = ("set_id", "paper_id", "citations")
 
 FORMATS = ("delimited", "aligned", "json")
 
+# Rows parsed per chunk: the raw rows of one chunk are alive at a time.
+CHUNK_ROWS = 16384
+
 # ASCII digits with an optional sign: int() alone also takes "1_000" and non-ASCII digits.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass(frozen=True)
 class InputDataset:
-    """Validated citation records plus their provenance."""
+    """Validated citation records plus their provenance.
 
-    records: tuple[CitationRecord, ...]
+    ``records`` is held as a :class:`CitationTable`; any other sequence of
+    records is converted to one.
+    """
+
+    records: CitationTable
     source_path: str = "<stream>"
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "records", CitationTable.of(self.records))
 
     @property
     def row_count(self) -> int:
@@ -79,6 +93,13 @@ class AnalysisConfig:
             raise ValueError("at least one rule required")
         if not self.schemes:
             raise ValueError("at least one scheme required")
+        # A repeated scheme (or rule) fills its columns with equal values, but two schemes
+        # that print one label would share columns; a rule's token is the rule itself.
+        labels: dict[str, RankClassScheme] = {}
+        for scheme in self.schemes:
+            if labels.setdefault(scheme.label, scheme) != scheme:
+                raise ValueError(f"duplicate scheme: {scheme.label}")
+        _check_threshold(self.top_share_threshold)
 
 
 @dataclass(frozen=True)
@@ -112,6 +133,10 @@ def parse_records(stream: TextIO, source: str = "<stream>") -> InputDataset:
     column, or the offending row number for bad citation counts and
     duplicate paper_ids (the header is row 1), or the line the ``csv``
     module could not read.
+
+    Rows are read in chunks of :data:`CHUNK_ROWS`, and each chunk's
+    columns are checked in bulk; only when a check fails are the chunk's
+    rows scanned one by one for the first offending row.
     """
     reader = csv.reader(stream)
     try:
@@ -132,27 +157,91 @@ def _parse_rows(reader: Iterator[list[str]], source: str) -> InputDataset:
         if name not in columns:
             raise ValueError(f"missing required column {name!r}")
     index = {name: columns.index(name) for name in columns}
-    has_doc_type = "doc_type" in index
     width = max(index[name] for name in REQUIRED_COLUMNS) + 1
 
-    records: list[CitationRecord] = []
-    first_row_of: dict[str, int] = {}
-    for row_number, row in enumerate(reader, start=2):
+    seen: set[str] = set()
+    # each chunk's table, and the row number of each of its records
+    chunks: list[tuple[CitationTable, Sequence[int]]] = []
+
+    def add_chunk(rows: list[list[str]], first: int) -> None:
+        body = [row for row in rows if row]
+        table = _column_table(body, index, width)
+        if table is not None:
+            known = len(seen)
+            seen.update(table.paper_ids)
+            if len(seen) == known + len(table):
+                numbers = range(first, first + len(rows))
+                if len(body) < len(rows):
+                    numbers = [number for number, row in zip(numbers, rows) if row]
+                chunks.append((table, numbers))
+                return
+        first_row_of = {
+            paper_id: number for table, numbers in chunks for paper_id, number in zip(table.paper_ids, numbers)
+        }
+        _raise_first_bad_row(rows, first, index, width, first_row_of)
+
+    first = 2
+    while True:
+        rows: list[list[str]] = []
+        try:
+            rows.extend(islice(reader, CHUNK_ROWS))
+        except csv.Error:
+            add_chunk(rows, first)  # a bad row before the unreadable line is reported first
+            raise
+        if not rows:
+            return InputDataset(CitationTable.concat(table for table, _ in chunks), source)
+        add_chunk(rows, first)
+        first += len(rows)
+
+
+def _column_table(body: list[list[str]], index: dict[str, int], width: int) -> CitationTable | None:
+    """The table of non-blank data rows, checked column by column; None if a row check fails.
+
+    Duplicate paper_ids are left to the caller, which checks them across chunks.
+    """
+    if min(map(len, body), default=width) < width:
+        return None
+    set_ids, paper_ids, raw = (
+        tuple(map(str.strip, map(itemgetter(index[name]), body))) for name in REQUIRED_COLUMNS
+    )
+    if "" in set_ids or "" in paper_ids:
+        return None
+    try:
+        citations = tuple(map(int, raw))
+    except ValueError:  # not an integer, or more digits than int() converts
+        return None
+    # int() takes a stripped cell that _INTEGER rejects only through "_" or a non-ASCII digit
+    joined = "".join(raw)
+    if not joined.isascii() or "_" in joined or min(citations, default=0) < 0:
+        return None
+    doc_types = None
+    if "doc_type" in index:
+        at = index["doc_type"]
+        doc_types = tuple(sys.intern(row[at].strip()) or None if len(row) > at else None for row in body)
+    # set ids and doc types repeat on many rows: one shared string per value keeps the table small
+    return CitationTable(map(sys.intern, set_ids), paper_ids, citations, doc_types)
+
+
+def _raise_first_bad_row(
+    rows: list[list[str]], first: int, index: dict[str, int], width: int, first_row_of: dict[str, int]
+) -> None:
+    """Raise the ``ValueError`` of the first row that fails a check; ``first`` is its row number.
+
+    ``first_row_of`` maps the paper_ids of earlier rows to their row numbers.
+    """
+    for row_number, row in enumerate(rows, start=first):
         if not row:
             continue
         if len(row) < width:
             raise ValueError(f"too few columns at row {row_number}")
-        set_id = row[index["set_id"]].strip()
-        paper_id = row[index["paper_id"]].strip()
-        raw_citations = row[index["citations"]].strip()
+        set_id, paper_id, raw_citations = (row[index[name]].strip() for name in REQUIRED_COLUMNS)
         if not set_id:
             raise ValueError(f"empty set_id at row {row_number}")
         if not paper_id:
             raise ValueError(f"empty paper_id at row {row_number}")
         if _INTEGER.fullmatch(raw_citations) is None:
             raise ValueError(f"non-integer citations {raw_citations!r} at row {row_number}")
-        citations = int(raw_citations)
-        if citations < 0:
+        if int(raw_citations) < 0:
             raise ValueError(f"negative citations at row {row_number}")
         if paper_id in first_row_of:
             raise ValueError(
@@ -160,12 +249,6 @@ def _parse_rows(reader: Iterator[list[str]], source: str) -> InputDataset:
                 f"{first_row_of[paper_id]} and {row_number}"
             )
         first_row_of[paper_id] = row_number
-        doc_type: str | None = None
-        if has_doc_type and len(row) > index["doc_type"]:
-            cell = row[index["doc_type"]].strip()
-            doc_type = cell or None
-        records.append(CitationRecord(set_id, paper_id, citations, doc_type))
-    return InputDataset(tuple(records), source)
 
 
 def load_records(path: str | Path) -> InputDataset:
@@ -197,23 +280,21 @@ def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport
     top-share column at ``config.top_share_threshold``), then dropped.
     Deterministic for any input ordering.
     """
-    records = dataset.records
-    if not records:
+    table = dataset.records
+    if not table:
         raise ValueError("empty input")
-    set_order = sorted({record.set_id for record in records})
-
-    n_papers = {set_id: 0 for set_id in set_order}
-    total_citations = {set_id: 0 for set_id in set_order}
-    for record in records:
-        n_papers[record.set_id] += 1
-        total_citations[record.set_id] += record.citations
+    n_papers = Counter(table.set_ids)
+    total_citations = dict.fromkeys(n_papers, 0)
+    for set_id, count in zip(table.set_ids, table.citations):
+        total_citations[set_id] += count
+    set_order = sorted(n_papers)
 
     i3_cells: dict[str, dict[str, float]] = {}
     share_cells: dict[str, dict[str, float]] = {}
     rank_cells: dict[str, dict[str, int]] = {}
     top_shares: dict[str, float] = {}
     for rule in config.rules:
-        assignment = compute_percentiles(records, rule, config.scope)
+        assignment = compute_percentiles(table, rule, config.scope)
         for scheme in config.schemes:
             key = pair_key(rule, scheme)
             i3_by_set = {set_id: i3(assignment, scheme, set_id) for set_id in set_order}
@@ -374,25 +455,27 @@ def emit_paper_percentiles(
     """Per-paper percentile table, one ``pct_<rule>`` column per rule.
 
     Rows are sorted by (set_id, paper_id) so equal inputs emit equal bytes.
-    The table is built by column: the records are ordered once, and each
-    rule's assignment is computed, read into one column of values in row
-    order, and dropped before the next rule's, so one assignment is alive
-    at a time. The delimited and aligned forms format each distinct value
-    once per rule.
+    The table is built by column from the :class:`CitationTable`: its row
+    indexes are ordered once, and each rule's assignment is computed, read
+    into one column of values in row order, and dropped before the next
+    rule's, so one assignment is alive at a time. Only the delimited and
+    aligned forms format text cells, each distinct value once per rule.
     """
-    if not dataset.records:
+    table = dataset.records
+    if not table:
         raise ValueError("empty input")
     _check_format(fmt)
     # Two stable sorts give the (set_id, paper_id) order without building tuple keys.
-    ordered = sorted(dataset.records, key=attrgetter("paper_id"))
-    ordered.sort(key=attrgetter("set_id"))
-    set_ids = [record.set_id for record in ordered]
-    paper_ids = [record.paper_id for record in ordered]
-    citations = [record.citations for record in ordered]
+    order = sorted(range(len(table)), key=table.paper_ids.__getitem__)
+    order.sort(key=table.set_ids.__getitem__)
+    set_ids, paper_ids, citations = (
+        list(map(column.__getitem__, order)) for column in (table.set_ids, table.paper_ids, table.citations)
+    )
+    del order
 
     values: list[list[float]] = []
     for rule in rules:
-        entries = compute_percentiles(dataset.records, rule, scope).entries
+        entries = compute_percentiles(table, rule, scope).entries
         values.append(list(map(entries.__getitem__, paper_ids)))
         del entries  # free it before the next rule's assignment is built
 
@@ -414,10 +497,15 @@ def emit_paper_percentiles(
             ],
         }
 
+    def text_rows() -> Iterator[Iterator[tuple[str, ...]]]:
+        # Yields the rows as one iterator, on first use: the json form never asks, so it
+        # formats no cells, and the other forms read the rows from zip without a frame per row.
+        cells = [set_ids, paper_ids]
+        for column, spec in [(citations, "d"), *((column, ".6f") for column in values)]:
+            text_of = {value: format(value, spec) for value in set(column)}
+            cells.append(list(map(text_of.__getitem__, column)))
+        yield zip(*cells)
+
     columns = ["set_id", "paper_id", "citations"] + [f"pct_{token}" for token in tokens]
-    cells = [set_ids, paper_ids, list(map(str, citations))]
-    for column in values:
-        text_of = {value: f"{value:.6f}" for value in set(column)}
-        cells.append(list(map(text_of.__getitem__, column)))
     title = f"paper percentiles (scope: {scope.token})"
-    return _render(fmt, payload, title, [(None, columns, zip(*cells))])
+    return _render(fmt, payload, title, [(None, columns, chain.from_iterable(text_rows()))])

@@ -13,17 +13,21 @@ aggregate is independent of record ordering.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 __all__ = [
     "CitationRecord",
+    "CitationTable",
     "PercentileRule",
     "ReferenceScope",
     "SchemeVariant",
@@ -208,6 +212,83 @@ class CitationRecord:
             raise ValueError(f"negative citations for paper {self.paper_id!r}")
 
 
+class CitationTable(Sequence):
+    """Citation records held as four equal-length tuple columns.
+
+    ``set_ids``, ``paper_ids``, ``citations`` and ``doc_types`` (``None``
+    where absent) are the fields of the records in order. The table is a
+    read-only sequence of :class:`CitationRecord`: indexing and iteration
+    build records on demand, slicing gives a table, and a table equals a
+    tuple or list holding the same records. Tallies computed from it are
+    memoized on it, one per reference scope (see :func:`compute_percentiles`).
+    """
+
+    __slots__ = ("set_ids", "paper_ids", "citations", "doc_types", "_tallies")
+
+    def __init__(
+        self,
+        set_ids: Iterable[str],
+        paper_ids: Iterable[str],
+        citations: Iterable[int],
+        doc_types: Iterable[str | None] | None = None,
+    ) -> None:
+        self.set_ids = tuple(set_ids)
+        self.paper_ids = tuple(paper_ids)
+        self.citations = tuple(citations)
+        self.doc_types = (None,) * len(self.paper_ids) if doc_types is None else tuple(doc_types)
+        if not len(self.set_ids) == len(self.paper_ids) == len(self.citations) == len(self.doc_types):
+            raise ValueError("columns differ in length")
+        if self.citations and min(self.citations) < 0:
+            paper_id = next(p for p, c in zip(self.paper_ids, self.citations) if c < 0)
+            raise ValueError(f"negative citations for paper {paper_id!r}")
+        self._tallies: dict[ReferenceScope, _Tally] = {}
+
+    @classmethod
+    def of(cls, records: Iterable[CitationRecord]) -> CitationTable:
+        """``records`` itself if it is a table, else a table of the records in order."""
+        if isinstance(records, cls):
+            return records
+        recs = list(records)
+        return cls(
+            [r.set_id for r in recs], [r.paper_id for r in recs],
+            [r.citations for r in recs], [r.doc_type for r in recs],
+        )
+
+    @classmethod
+    def concat(cls, tables: Iterable[CitationTable]) -> CitationTable:
+        """One table holding the records of ``tables`` in order."""
+        each = [table._columns for table in tables]
+        return cls(*(chain.from_iterable([columns[field] for columns in each]) for field in range(4)))
+
+    @property
+    def _columns(self) -> tuple[tuple, tuple, tuple, tuple]:
+        return self.set_ids, self.paper_ids, self.citations, self.doc_types
+
+    def __len__(self) -> int:
+        return len(self.paper_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return CitationTable(*(column[index] for column in self._columns))
+        return CitationRecord(*(column[index] for column in self._columns))
+
+    def __iter__(self):
+        return map(CitationRecord, *self._columns)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, CitationTable):
+            return self._columns == other._columns
+        if isinstance(other, (tuple, list)):
+            return len(other) == len(self) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))  # equal to the hash of the equal tuple of records
+
+    def __repr__(self) -> str:
+        return f"CitationTable({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class PercentileAssignment:
     """Per-paper percentiles plus the reference group each was computed in.
@@ -220,7 +301,9 @@ class PercentileAssignment:
     The first :meth:`percentiles_for_set` call indexes every paper's value
     by set in one pass over ``entries``; later calls are lookups, so
     aggregating all sets costs time linear in the number of papers. The
-    mappings must not be mutated once the index is built.
+    mappings must not be mutated: :func:`compute_percentiles` shares
+    ``group_keys`` and ``set_ids`` between every rule's assignment over one
+    table and scope.
     """
 
     entries: Mapping[str, float]
@@ -305,36 +388,122 @@ def percentile_of(count: int, group_counts: Iterable[int], rule: PercentileRule)
     return _rule_value(rule, lower, lower_or_equal, count, len(counts))
 
 
-def _group_keys(
-    records: list[CitationRecord], paper_ids: list[str], set_ids: list[str], scope: ReferenceScope
-) -> tuple[list[str] | list[int], list[str] | None]:
-    """Reference-group key of every record, and each key's label when keys are numbers.
+def _numbering(column: Sequence) -> tuple[list[int], list]:
+    """Number every row's value in order of first appearance; also the values in that order."""
+    number_of = {value: number for number, value in enumerate(dict.fromkeys(column))}
+    return list(map(number_of.__getitem__, column)), list(number_of)
 
-    ``per-set-and-doc-type`` numbers the (set_id, doc_type) pairs: their
-    ``"<set_id>/<doc_type>"`` labels are for display only, since ``a/b`` + ``c``
-    and ``a`` + ``b/c`` share one. Other scopes key by one label string per group.
+
+def _group_numbers(table: CitationTable, scope: ReferenceScope) -> tuple[list[int] | None, list[str]]:
+    """Reference-group number of every record (``None``: one group), and each group's label.
+
+    ``per-set-and-doc-type`` groups by the (set_id, doc_type) pair, numbered
+    through integers rather than tuples: its ``"<set_id>/<doc_type>"`` label
+    is for display only, since ``a/b`` + ``c`` and ``a`` + ``b/c`` share one.
     """
     if scope is ReferenceScope.GLOBAL_POOL:
-        return ["all"] * len(records), None
+        return None, ["all"]
     if scope is ReferenceScope.PER_SET:
-        return set_ids, None
-    doc_types = [record.doc_type for record in records]
-    if None in doc_types:
-        paper_id = paper_ids[doc_types.index(None)]
+        return _numbering(table.set_ids)
+    if None in table.doc_types:
+        paper_id = table.paper_ids[table.doc_types.index(None)]
         raise ValueError(f"record {paper_id!r} has no doc_type, required by scope {scope.token!r}")
     if scope is ReferenceScope.PER_DOC_TYPE_POOL:
-        return doc_types, None
-    number_of = {pair: number for number, pair in enumerate(set(zip(set_ids, doc_types)))}
-    names = [f"{set_id}/{doc_type}" for set_id, doc_type in number_of]
-    return list(map(number_of.__getitem__, zip(set_ids, doc_types))), names
+        return _numbering(table.doc_types)
+    sets, set_names = _numbering(table.set_ids)
+    doc_types, doc_names = _numbering(table.doc_types)
+    width = len(doc_names)
+    groups, pairs = _numbering([s * width + d for s, d in zip(sets, doc_types)])
+    return groups, [f"{set_names[pair // width]}/{doc_names[pair % width]}" for pair in pairs]
 
 
-def _raise_duplicate_id(paper_ids: list[str]) -> None:
+def _raise_duplicate_id(paper_ids: Sequence[str]) -> None:
     seen: set[str] = set()
     for paper_id in paper_ids:
         if paper_id in seen:
             raise ValueError(f"duplicate paper_id {paper_id!r}")
         seen.add(paper_id)
+
+
+class _LazyDict(Mapping):
+    """A read-only mapping whose dict ``build`` makes on first use.
+
+    Percentile paths never read ``group_keys``; building it only when a
+    caller does saves a paper_id-keyed dict per tally.
+    """
+
+    def __init__(self, build: Callable[[], dict]) -> None:
+        self._build = build
+
+    @cached_property
+    def _dict(self) -> dict:
+        return self._build()
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self) -> int:
+        return len(self._dict)
+
+    # whole-mapping reads go to the dict's own views, not through __getitem__ per key
+    def items(self):
+        return self._dict.items()
+
+    def values(self):
+        return self._dict.values()
+
+    def __repr__(self) -> str:
+        return repr(self._dict)
+
+
+class _Tally(NamedTuple):
+    """What every counting rule shares for one table under one scope.
+
+    ``rows`` holds one (count, lower, tied, n) tuple per distinct
+    (group, citation count): the count, how many group members cite less,
+    how many cite exactly as much, and the group size. ``row_of`` gives
+    each record's row, in table order. ``set_ids`` and ``group_keys`` are
+    the paper_id-keyed mappings of :class:`PercentileAssignment`.
+    """
+
+    rows: list[tuple[int, int, int, int]]
+    row_of: list[int]
+    set_ids: dict[str, str]
+    group_keys: Mapping[str, str]
+
+
+def _tally(table: CitationTable, scope: ReferenceScope) -> _Tally:
+    if not table:
+        raise ValueError("empty input")
+    paper_ids = table.paper_ids
+    set_of = dict(zip(paper_ids, table.set_ids))
+    if len(set_of) != len(paper_ids):
+        _raise_duplicate_id(paper_ids)
+    groups, names = _group_numbers(table, scope)
+    counts = table.citations
+    # One integer per record, count * n_groups + group, so sorting orders by count and
+    # each group's running ``lower`` is complete when its next count comes up.
+    n_groups = len(names)
+    keys = counts if groups is None else [c * n_groups + g for c, g in zip(counts, groups)]
+    sizes = Counter(groups) if groups is not None else [len(counts)]
+    lower = [0] * n_groups
+    rows: list[tuple[int, int, int, int]] = []
+    row_number: dict[int, int] = {}
+    for key, tied in sorted(Counter(keys).items()):
+        count, group = divmod(key, n_groups)
+        row_number[key] = len(rows)
+        rows.append((count, lower[group], tied, sizes[group]))
+        lower[group] += tied
+    if scope is ReferenceScope.PER_SET:
+        group_keys: Mapping[str, str] = set_of  # the labels are the set ids
+    elif groups is None:
+        group_keys = _LazyDict(lambda: dict.fromkeys(paper_ids, "all"))
+    else:
+        group_keys = _LazyDict(lambda: dict(zip(paper_ids, map(names.__getitem__, groups))))
+    return _Tally(rows, list(map(row_number.__getitem__, keys)), set_of, group_keys)
 
 
 def compute_percentiles(
@@ -346,13 +515,15 @@ def compute_percentiles(
 
     Records are partitioned into reference groups per ``scope``; each
     paper's percentile equals :func:`percentile_of` over its group's
-    counts. One :class:`~collections.Counter` pass tallies every
-    (group, citation count) pair; each group's distinct counts are then
-    walked once in ascending order, so the rule is evaluated once per
-    distinct count and every member takes its count's value by lookup.
-    The per-member work runs in ``zip``/``map``/``dict`` rather than a
-    Python loop, and each group's key is one string (or number) shared by
-    its members. Output is independent of input ordering.
+    counts. The rule-independent part is one tally per scope, memoized on
+    the :class:`CitationTable` (``records`` converted by
+    :meth:`CitationTable.of`, which returns a table unchanged): the
+    duplicate-id check, the group numbering, every distinct
+    (group, citation count) with its ``lower``/``tied``/``n``, each
+    record's index into those rows, and the ``set_ids``/``group_keys``
+    mappings, which all rules share. A rule then costs one evaluation per
+    distinct (group, count) plus its ``entries``. Output is independent of
+    input ordering.
 
     Args:
         records: Citation records with unique paper_ids; non-empty.
@@ -363,37 +534,13 @@ def compute_percentiles(
     Returns:
         A :class:`PercentileAssignment` covering every input record.
     """
-    recs = list(records)
-    if not recs:
-        raise ValueError("empty input")
-    paper_ids = [record.paper_id for record in recs]
-    set_ids = [record.set_id for record in recs]
-    set_of = dict(zip(paper_ids, set_ids))
-    if len(set_of) != len(recs):
-        _raise_duplicate_id(paper_ids)
-    labels, names = _group_keys(recs, paper_ids, set_ids, scope)
-    counts = [record.citations for record in recs]
-
-    sizes = Counter(labels)
-    value_of: dict[tuple[str, int], float] = {}
-    group = None
-    lower = 0
-    for key, tied in sorted(Counter(zip(labels, counts)).items()):
-        label, count = key
-        if label != group:
-            group, lower = label, 0
-        value_of[key] = _rule_value(rule, lower, lower + tied, count, sizes[label])
-        lower += tied
-
-    entries = dict(zip(paper_ids, map(value_of.__getitem__, zip(labels, counts))))
-    if scope is ReferenceScope.GLOBAL_POOL:
-        group_keys = dict.fromkeys(paper_ids, "all")
-    elif scope is ReferenceScope.PER_SET:
-        group_keys = set_of  # the labels are the set ids, so one mapping serves both fields
-    else:
-        shown = labels if names is None else map(names.__getitem__, labels)
-        group_keys = dict(zip(paper_ids, shown))
-    return PercentileAssignment(entries, group_keys, set_of, rule, scope)
+    table = CitationTable.of(records)
+    tally = table._tallies.get(scope)
+    if tally is None:
+        tally = table._tallies[scope] = _tally(table, scope)
+    values = [_rule_value(rule, lower, lower + tied, count, n) for count, lower, tied, n in tally.rows]
+    entries = dict(zip(table.paper_ids, map(values.__getitem__, tally.row_of)))
+    return PercentileAssignment(entries, tally.group_keys, tally.set_ids, rule, scope)
 
 
 def classify(percentile: float, scheme: RankClassScheme) -> float:
@@ -447,10 +594,17 @@ def percent_i3(i3_by_set: Mapping[str, float]) -> dict[str, float]:
     return {set_id: 100.0 * value / total for set_id, value in i3_by_set.items()}
 
 
+def _check_threshold(threshold: float) -> None:
+    """Raise ``ValueError`` unless a top-share threshold is a percentile in [0, 100]."""
+    if not 0.0 <= threshold <= 100.0:  # NaN fails both comparisons
+        raise ValueError(f"top-share threshold {threshold} outside [0, 100]")
+
+
 def top_count(
     assignment: PercentileAssignment, set_id: str, threshold: float = 90.0
 ) -> tuple[int, int]:
     """Number of a set's papers at or above the percentile threshold, and the set's size."""
+    _check_threshold(threshold)
     values = assignment.percentiles_for_set(set_id)
     return sum(1 for value in values if value >= threshold), len(values)
 

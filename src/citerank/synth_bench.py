@@ -23,7 +23,7 @@ from .data_pipeline import AnalysisConfig, InputDataset, RankingReport, pair_key
 from .data_pipeline import _aligned_lines, _render
 from .indicator_core import (
     P100,
-    CitationRecord,
+    CitationTable,
     PercentileRule,
     RankClassScheme,
     ReferenceScope,
@@ -110,8 +110,8 @@ class DivergenceResult:
         }
 
 
-def generate_set(spec: SetSpec) -> list[CitationRecord]:
-    """Draw one set's records; identical specs yield identical records.
+def generate_set(spec: SetSpec) -> CitationTable:
+    """Draw one set's records; identical specs yield identical tables.
 
     Exactly ``floor(uncited_share * n)`` papers are uncited, the product
     taken in exact decimal (0.29 of 100 is 29, where binary floating point
@@ -135,11 +135,10 @@ def generate_set(spec: SetSpec) -> list[CitationRecord]:
                 f"set {spec.set_id!r}: lognormal(mu={spec.mu}, sigma={spec.sigma}) drew a count "
                 "that is not finite or is at least 2**63"
             )
-        counts.extend(int(c) for c in np.maximum(np.floor(draws), 1.0).astype(np.int64))
-    return [
-        CitationRecord(spec.set_id, f"{spec.set_id}-{index:05d}", count)
-        for index, count in enumerate(counts)
-    ]
+        counts += np.maximum(np.floor(draws), 1.0).astype(np.int64).tolist()
+    prefix = f"{spec.set_id}-"
+    paper_ids = [prefix + str(index).zfill(5) for index in range(spec.n)]  # f"{index:05d}", faster
+    return CitationTable((spec.set_id,) * spec.n, paper_ids, counts)
 
 
 def divergence_from_report(report: RankingReport, scheme: RankClassScheme) -> DivergenceResult:
@@ -196,8 +195,8 @@ def run_divergence_experiment(
         raise ValueError("need at least 2 sets")
     if len(rules) < 2:
         raise ValueError("need at least 2 rules")
-    records = [record for spec in specs for record in generate_set(spec)]
-    dataset = InputDataset(tuple(records), source_path="<synthetic>")
+    records = CitationTable.concat(generate_set(spec) for spec in specs)
+    dataset = InputDataset(records, source_path="<synthetic>")
     config = AnalysisConfig(tuple(rules), (scheme,), scope)
     report = run_analysis(dataset, config)
     return divergence_from_report(report, scheme)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -492,3 +493,70 @@ def test_parse_records_fuzz_loads_or_raises_value_error(text, newline):
     except ValueError:
         return
     assert all(record.citations >= 0 and record.paper_id for record in dataset.records)
+
+
+# --- chunked parse: errors name the same row whatever the chunk size ---------------
+
+def _outcome(text: str, newline, chunk_rows: int):
+    """The parsed table, or the error message, with ``CHUNK_ROWS`` set to ``chunk_rows``."""
+    saved = data_pipeline.CHUNK_ROWS
+    data_pipeline.CHUNK_ROWS = chunk_rows
+    try:
+        return parse_records(io.StringIO(text, newline=newline)).records
+    except ValueError as exc:
+        return str(exc)
+    finally:
+        data_pipeline.CHUNK_ROWS = saved
+
+
+@given(text=csv_text, newline=st.sampled_from([None, ""]), chunk_rows=st.integers(min_value=1, max_value=3))
+def test_parse_in_small_chunks_matches_one_chunk(text, newline, chunk_rows):
+    assert _outcome(text, newline, chunk_rows) == _outcome(text, newline, 10**6)
+
+
+_HUGE = "x" * (csv.field_size_limit() + 1)
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        # blank rows count as rows; the duplicate's first row is two chunks back
+        ("\nA,p1,1\nA,p2,2\n\nB,p1,4\n", "duplicate paper_id 'p1' at rows 3 and 6"),
+        # the first bad row wins over a worse one in a later chunk
+        ("A,p1,1\nA,p2,-2\nA,p3,1\nA,p1,x\n", "negative citations at row 3"),
+        ("A,p1,1\nA,p2,2\nA,p3\n", "too few columns at row 4"),
+        # a bad row before a line the csv module cannot read is reported first
+        (f"A,p1,1\nA,p2,1\nA,p3,-1\nA,{_HUGE},1\n", "negative citations at row 4"),
+        (f"A,p1,1\nA,p2,1\nA,p3,1\nA,{_HUGE},1\n", "malformed CSV at line 5 of inline: field larger .*"),
+    ],
+)
+def test_parse_errors_name_rows_across_chunks(monkeypatch, body, message):
+    monkeypatch.setattr(data_pipeline, "CHUNK_ROWS", 2)
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        _dataset("set_id,paper_id,citations\n" + body)
+
+
+def test_parse_chunks_join_in_row_order(monkeypatch):
+    monkeypatch.setattr(data_pipeline, "CHUNK_ROWS", 2)
+    dataset = _dataset("set_id,paper_id,citations,doc_type\nA,p1,1,x\n\nB,p2,2\nA,p3,3, y \nC,p4,0,\n")
+    assert dataset.records == (
+        CitationRecord("A", "p1", 1, "x"),
+        CitationRecord("B", "p2", 2),
+        CitationRecord("A", "p3", 3, "y"),
+        CitationRecord("C", "p4", 0),
+    )
+
+
+@given(cell=st.text(alphabet=st.sampled_from("0123456789+-_ .ex\t\x1c\xa0٣５"), max_size=8))
+def test_bulk_citation_check_accepts_exactly_signed_ascii_digits(cell):
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([["set_id", "paper_id", "citations"], ["A", "p1", "1"],
+                                                        ["A", "p2", cell]])
+    stripped = cell.strip()
+    valid = re.fullmatch(r"[+-]?[0-9]+", stripped) is not None and int(stripped) >= 0
+    try:
+        records = _dataset(buffer.getvalue()).records
+    except ValueError as exc:
+        assert not valid and "at row 3" in str(exc)
+    else:
+        assert valid and records.citations == (1, int(stripped))
