@@ -93,12 +93,6 @@ class AnalysisConfig:
             raise ValueError("at least one rule required")
         if not self.schemes:
             raise ValueError("at least one scheme required")
-        # A repeated scheme (or rule) fills its columns with equal values, but two schemes
-        # that print one label would share columns; a rule's token is the rule itself.
-        labels: dict[str, RankClassScheme] = {}
-        for scheme in self.schemes:
-            if labels.setdefault(scheme.label, scheme) != scheme:
-                raise ValueError(f"duplicate scheme: {scheme.label}")
         _check_threshold(self.top_share_threshold)
 
 
@@ -132,7 +126,7 @@ def parse_records(stream: TextIO, source: str = "<stream>") -> InputDataset:
     digits with an optional sign. Raises ``ValueError`` naming the missing
     column, or the offending row number for bad citation counts and
     duplicate paper_ids (the header is row 1), or the line the ``csv``
-    module could not read.
+    module could not read, or ``source`` when its bytes are not UTF-8.
 
     Rows are read in chunks of :data:`CHUNK_ROWS`, and each chunk's
     columns are checked in bulk; only when a check fails are the chunk's
@@ -143,6 +137,9 @@ def parse_records(stream: TextIO, source: str = "<stream>") -> InputDataset:
         return _parse_rows(reader, source)
     except csv.Error as exc:
         raise ValueError(f"malformed CSV at line {reader.line_num} of {source}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # the decoder's byte offset counts from its read buffer, not from the start of the file
+        raise ValueError(f"{source} is not UTF-8 text: {exc.reason}") from None
 
 
 def _parse_rows(reader: Iterator[list[str]], source: str) -> InputDataset:

@@ -19,6 +19,7 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from decimal import MAX_PREC, Context, Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -30,7 +31,6 @@ __all__ = [
     "CitationTable",
     "PercentileRule",
     "ReferenceScope",
-    "SchemeVariant",
     "RankClassScheme",
     "P100",
     "NSF6",
@@ -46,6 +46,15 @@ __all__ = [
     "top_count",
     "top_share",
 ]
+
+
+def _member(kind: type[Enum], noun: str, token: str):
+    """The member of ``kind`` whose value is ``token``; ``noun`` names the kind in the error."""
+    for member in kind:
+        if member.value == token:
+            return member
+    valid = ", ".join(member.value for member in kind)
+    raise ValueError(f"unknown {noun} {token!r} (expected one of: {valid})")
 
 
 class PercentileRule(Enum):
@@ -71,11 +80,7 @@ class PercentileRule(Enum):
 
     @classmethod
     def from_token(cls, token: str) -> PercentileRule:
-        for rule in cls:
-            if rule.value == token:
-                return rule
-        valid = ", ".join(r.value for r in cls)
-        raise ValueError(f"unknown rule {token!r} (expected one of: {valid})")
+        return _member(cls, "rule", token)
 
 
 class ReferenceScope(Enum):
@@ -97,105 +102,64 @@ class ReferenceScope(Enum):
 
     @classmethod
     def from_token(cls, token: str) -> ReferenceScope:
-        for scope in cls:
-            if scope.value == token:
-                return scope
-        valid = ", ".join(s.value for s in cls)
-        raise ValueError(f"unknown scope {token!r} (expected one of: {valid})")
-
-
-class SchemeVariant(Enum):
-    P100 = "p100"
-    NSF6 = "nsf6"
-    TWO_CLASS = "two-class"
+        return _member(cls, "scope", token)
 
 
 # Lower-inclusive class bounds; the top class is [99, 100].
 _NSF6_BOUNDS = (0.0, 50.0, 75.0, 90.0, 95.0, 99.0)
 
-_TOP_TOKEN = re.compile(r"^top(\d+(?:\.\d+)?)$")
+# top<P>: the whole part without leading zeros, the decimals up to the last non-zero one
+_TOP_TOKEN = re.compile(r"top0*([0-9]+?)(?:\.(?=[0-9])([0-9]*[1-9])?0*)?")
 
 
 @dataclass(frozen=True)
 class RankClassScheme:
-    """Weighting of the percentile axis for I3 aggregation.
+    """Weighting of the percentile axis for I3 aggregation: a canonical token and its class bounds.
 
-    P100 keeps the continuous percentile as the weight. NSF6 partitions
-    [0, 100] into the six classes bottom-50%, 50-75%, 75-90%, 90-95%,
-    95-99%, and top-1%, weighted 1..6 from the bottom. TWO_CLASS splits at
-    ``threshold`` (weights 1 and 2), the two-class form of a top-share
-    excellence indicator.
-
-    Class intervals are lower-inclusive; the top class includes 100.
+    ``p100`` keeps the continuous percentile as the weight (``lower_bounds``
+    is ``None``). ``nsf6`` partitions [0, 100] into the six classes
+    bottom-50%, 50-75%, 75-90%, 90-95%, 95-99%, and top-1%, weighted 1..6
+    from the bottom. ``top<P>`` splits at ``100 - P`` (weights 1 and 2), the
+    two-class form of a top-share excellence indicator. Bounds are
+    lower-inclusive, lowest class first; the top class includes 100. Both
+    fields come from the token (:meth:`from_token`), so unequal schemes
+    never share a label.
     """
 
-    variant: SchemeVariant
-    threshold: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.variant is SchemeVariant.TWO_CLASS:
-            if self.threshold is None:
-                raise ValueError("two-class scheme requires a threshold")
-            if not 0.0 < self.threshold < 100.0:
-                raise ValueError(f"threshold {self.threshold} outside (0, 100)")
-        elif self.threshold is not None:
-            raise ValueError("threshold only applies to the two-class scheme")
-
-    @classmethod
-    def p100(cls) -> RankClassScheme:
-        return cls(SchemeVariant.P100)
-
-    @classmethod
-    def nsf6(cls) -> RankClassScheme:
-        return cls(SchemeVariant.NSF6)
-
-    @classmethod
-    def two_class(cls, threshold: float = 90.0) -> RankClassScheme:
-        return cls(SchemeVariant.TWO_CLASS, threshold)
+    label: str
+    lower_bounds: tuple[float, ...] | None
 
     @classmethod
     def from_token(cls, token: str) -> RankClassScheme:
-        """Parse ``p100``, ``nsf6``, or ``top<P>`` (e.g. ``top10``)."""
+        """Parse ``p100``, ``nsf6``, or ``top<P>``, ``P`` a decimal in (0, 100): ``top010.50`` is ``top10.5``."""
         if token == "p100":
-            return cls.p100()
+            return cls(token, None)
         if token == "nsf6":
-            return cls.nsf6()
-        match = _TOP_TOKEN.match(token)
-        if match:
-            # the exact decimal 100 - P, rounded once, so a percentile on the bound meets it
-            return cls.two_class(float(100 - Fraction(match.group(1))))
-        raise ValueError(f"unknown scheme {token!r} (expected p100, nsf6, or top<P>)")
+            return cls(token, _NSF6_BOUNDS)
+        match = _TOP_TOKEN.fullmatch(token)
+        if match is None:
+            raise ValueError(f"unknown scheme {token!r} (expected p100, nsf6, or top<P>)")
+        whole, decimals = match.groups()
+        share = whole if decimals is None else f"{whole}.{decimals}"
+        exact = Fraction(share)
+        if not 0 < exact < 100:
+            raise ValueError(f"scheme {token!r}: top share {share} outside (0, 100)")
+        # the exact decimal 100 - P, rounded once, so a percentile on the bound meets it
+        return cls(f"top{share}", (0.0, float(100 - exact)))
 
-    @property
-    def label(self) -> str:
-        """Stable spelling used in CLI flags and report column names."""
-        if self.variant is SchemeVariant.P100:
-            return "p100"
-        if self.variant is SchemeVariant.NSF6:
-            return "nsf6"
-        return f"top{100.0 - self.threshold:g}"
-
-    @property
-    def is_discrete(self) -> bool:
-        return self.variant is not SchemeVariant.P100
-
-    @property
-    def class_count(self) -> int:
-        return len(self.lower_bounds)
-
-    @property
-    def lower_bounds(self) -> tuple[float, ...]:
-        """Lower-inclusive class boundaries, lowest class first."""
-        if self.variant is SchemeVariant.NSF6:
-            return _NSF6_BOUNDS
-        if self.variant is SchemeVariant.TWO_CLASS:
-            return (0.0, self.threshold)
-        raise ValueError("continuous scheme has no rank classes")
+    @classmethod
+    def two_class(cls, threshold: float = 90.0) -> RankClassScheme:
+        """``top<P>`` for the exact decimal ``P = 100 - repr(threshold)``; ``two_class(64.1)`` is ``top35.9``."""
+        if not 0.0 < threshold < 100.0:  # NaN fails both comparisons
+            raise ValueError(f"threshold {threshold} outside (0, 100)")
+        # unlimited precision: the difference of two decimals is exact, never rounded to 28 digits
+        share = Context(prec=MAX_PREC).subtract(Decimal(100), Decimal(repr(float(threshold))))
+        return cls.from_token(f"top{share:f}")
 
 
-P100 = RankClassScheme.p100()
-NSF6 = RankClassScheme.nsf6()
-TOP10 = RankClassScheme.two_class(90.0)
+P100 = RankClassScheme.from_token("p100")
+NSF6 = RankClassScheme.from_token("nsf6")
+TOP10 = RankClassScheme.from_token("top10")
 
 
 @dataclass(frozen=True)
@@ -551,7 +515,7 @@ def classify(percentile: float, scheme: RankClassScheme) -> float:
     """
     if not 0.0 <= percentile <= 100.0:
         raise ValueError(f"percentile {percentile} outside [0, 100]")
-    if scheme.variant is SchemeVariant.P100:
+    if scheme.lower_bounds is None:
         return percentile
     return bisect_right(scheme.lower_bounds, percentile)
 
@@ -560,9 +524,9 @@ def class_histogram(
     assignment: PercentileAssignment, scheme: RankClassScheme, set_id: str
 ) -> list[int]:
     """Per-class paper counts for one set; counts sum to the set size."""
-    if not scheme.is_discrete:
+    if scheme.lower_bounds is None:
         raise ValueError("continuous scheme has no rank classes")
-    counts = [0] * scheme.class_count
+    counts = [0] * len(scheme.lower_bounds)
     for value in assignment.percentiles_for_set(set_id):
         counts[int(classify(value, scheme)) - 1] += 1
     return counts
@@ -575,7 +539,7 @@ def i3(assignment: PercentileAssignment, scheme: RankClassScheme, set_id: str) -
     values; under a discrete scheme each paper contributes its 1-based
     class index, i.e. the class histogram dotted with weights 1..k.
     """
-    if scheme.variant is SchemeVariant.P100:
+    if scheme.lower_bounds is None:
         return math.fsum(assignment.percentiles_for_set(set_id))
     histogram = class_histogram(assignment, scheme, set_id)
     return float(sum((index + 1) * count for index, count in enumerate(histogram)))

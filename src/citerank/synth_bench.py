@@ -70,6 +70,8 @@ class SetSpec:
             raise ValueError(f"set {self.set_id!r}: mu must be finite")
         if not 0.0 <= self.sigma < math.inf:
             raise ValueError(f"set {self.set_id!r}: sigma must be finite and non-negative")
+        if self.seed < 0:
+            raise ValueError(f"set {self.set_id!r}: seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -227,7 +229,10 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     Defaults: all four rules, scheme p100, scope global.
     """
     with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+        try:
+            payload = json.load(handle)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"experiment config {path}: {exc}") from None
     if not isinstance(payload, dict) or "sets" not in payload:
         raise ValueError(f"experiment config {path}: missing 'sets'")
     raw_sets = payload["sets"]

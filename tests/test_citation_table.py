@@ -250,11 +250,11 @@ def test_paper_table_json_formats_no_text_cells(monkeypatch):
 
 # --- analysis configuration -----------------------------------------------------
 
-def test_analysis_config_rejects_two_schemes_with_one_label():
+def test_analysis_config_gives_unequal_schemes_their_own_columns():
     first, second = (RankClassScheme.from_token(token) for token in ("top12.34561", "top12.34562"))
-    assert first.label == second.label == "top12.3456" and first != second
-    with pytest.raises(ValueError, match=r"^duplicate scheme: top12\.3456$"):
-        AnalysisConfig((QUANTILE,), (P100, first, second))
+    dataset = parse_records(io.StringIO(DOC_CSV))
+    report = run_analysis(dataset, AnalysisConfig((QUANTILE,), (P100, first, second)))
+    assert list(report.rows[0].i3) == ["quantile_p100", "quantile_top12.34561", "quantile_top12.34562"]
     # one scheme repeated fills equal columns, which is harmless
     AnalysisConfig((QUANTILE, QUANTILE), (first, first))
 

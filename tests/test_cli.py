@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -94,11 +96,25 @@ def test_rank_duplicate_rule_is_usage_error(capsys, multi_csv):
 
 
 def test_rank_schemes_with_one_column_label_are_a_usage_error(capsys, multi_csv):
-    # both print as top12.3456, so their pI3/rank columns would share one name
+    # top10.0 is top10, so their pI3/rank columns would share one name
     code, out, err = run_cli(
-        capsys, "rank", "--input", multi_csv, "--scheme", "top12.34561", "--scheme", "top12.34562"
+        capsys, "rank", "--input", multi_csv, "--scheme", "top10", "--scheme", "top10.0"
     )
-    assert (code, out, err) == (2, "", "error: duplicate scheme: top12.3456\n")
+    assert (code, out, err) == (2, "", "error: duplicate scheme: top10\n")
+
+
+@pytest.mark.parametrize(
+    "tokens,labels",
+    [
+        (["top12.34561", "top12.34562"], ["top12.34561", "top12.34562"]),
+        (["top0.00001", "top010.50"], ["top0.00001", "top10.5"]),
+    ],
+)
+def test_rank_schemes_are_labelled_by_their_exact_share(capsys, multi_csv, tokens, labels):
+    code, out, err = run_cli(capsys, "rank", "--input", multi_csv, *(f"--scheme={token}" for token in tokens))
+    assert code == 0 and err == ""
+    header = out.splitlines()[1].split(",")
+    assert [c for c in header if c.startswith("pI3_")] == [f"pI3_quantile_{label}" for label in labels]
 
 
 def test_rank_unknown_rule_token(capsys, multi_csv):
@@ -363,6 +379,20 @@ def test_simulate_bad_parameters_are_one_line_errors(capsys, tmp_path, entry, ex
     assert err.count("\n") == 1 and message in err
 
 
+def test_simulate_negative_seed_is_one_line_error(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--config", "divergence_high_uncited", "--seed", "-3")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: set ") and "seed must be non-negative" in err
+
+
+def test_rank_input_that_is_not_utf8_is_one_line_error(capsys, tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"set_id,paper_id,citations\nA,caf\xe9,1\n")
+    code, out, err = run_cli(capsys, "rank", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path} is not UTF-8 text: invalid continuation byte\n"
+
+
 def test_cli_import_does_not_load_numpy():
     # numpy is only needed to generate sets; every other command should start without it
     src = str(Path(citerank.__file__).parent.parent)
@@ -372,6 +402,14 @@ def test_cli_import_does_not_load_numpy():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "module", ["citerank", *(f"citerank.{info.name}" for info in pkgutil.iter_modules(citerank.__path__))]
+)
+def test_every_exported_name_resolves(module):
+    imported = importlib.import_module(module)
+    assert [name for name in getattr(imported, "__all__", ()) if not hasattr(imported, name)] == []
 
 
 def test_simulate_json_format(capsys):

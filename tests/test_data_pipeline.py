@@ -113,6 +113,15 @@ def test_parse_ignores_utf8_byte_order_mark(tmp_path):
     assert load_records(path).records == (CitationRecord("J1", "p1", 5),)
 
 
+def test_load_records_names_an_input_that_is_not_utf8(tmp_path):
+    # far enough in that the decoder's offset, counted from its read buffer, is not the file's
+    path = tmp_path / "bytes.csv"
+    rows = b"".join(b"J1,p%05d,1\n" % index for index in range(2000))
+    path.write_bytes(b"set_id,paper_id,citations\n" + rows + b"J1,\xff,1\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))} is not UTF-8 text: invalid start byte$"):
+        load_records(path)
+
+
 def test_parse_duplicate_paper_id_both_rows():
     with pytest.raises(ValueError, match="duplicate paper_id 'p1' at rows 2 and 4"):
         _dataset("set_id,paper_id,citations\nJ1,p1,5\nJ1,p2,0\nJ2,p1,1\n")

@@ -6,7 +6,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from scipy.stats import percentileofscore
 from hypothesis import strategies as st
 
@@ -18,7 +18,6 @@ from citerank import (
     PercentileRule,
     RankClassScheme,
     ReferenceScope,
-    SchemeVariant,
     class_histogram,
     classify,
     compute_percentiles,
@@ -212,12 +211,11 @@ def test_classify_range_error(percentile):
 
 
 def test_scheme_validation():
-    with pytest.raises(ValueError, match="threshold"):
-        RankClassScheme(SchemeVariant.TWO_CLASS)
     with pytest.raises(ValueError, match="outside"):
         RankClassScheme.two_class(0.0)
-    with pytest.raises(ValueError, match="threshold"):
-        RankClassScheme(SchemeVariant.NSF6, 50.0)
+    for token in ("top0", "top100"):
+        with pytest.raises(ValueError, match=r"outside \(0, 100\)"):
+            RankClassScheme.from_token(token)
     with pytest.raises(ValueError, match="unknown scheme"):
         RankClassScheme.from_token("p99")
     assert RankClassScheme.from_token("top10") == TOP10
@@ -227,8 +225,44 @@ def test_scheme_validation():
 def test_top_token_threshold_is_the_exact_decimal_bound():
     # 100.0 - 64.1 is 35.900000000000006, which put a quantile of exactly 35.9 in class 1
     scheme = RankClassScheme.from_token("top64.1")
-    assert scheme.threshold == 35.9 and scheme.label == "top64.1"
+    assert scheme.lower_bounds == (0.0, 35.9) and scheme.label == "top64.1"
     assert classify(_rule_value(PercentileRule.QUANTILE, 359, 360, 359, 1000), scheme) == 2
+
+
+def _top_token(millionths: int, leading_zeros: int, trailing_zeros: int) -> str:
+    whole, decimals = divmod(millionths, 10**6)
+    return f"top{'0' * leading_zeros}{whole}.{decimals:06d}{'0' * trailing_zeros}"
+
+
+@example(millionths=10, other=12_345_610, leading_zeros=0, trailing_zeros=0)  # top0.00001, top12.34561
+@example(millionths=12_345_610, other=12_345_620, leading_zeros=1, trailing_zeros=2)
+@given(
+    millionths=st.integers(1, 10**8 - 1),
+    other=st.integers(1, 10**8 - 1),
+    leading_zeros=st.integers(0, 2),
+    trailing_zeros=st.integers(0, 2),
+)
+def test_top_label_is_the_exact_share_and_round_trips(millionths, other, leading_zeros, trailing_zeros):
+    # P = millionths / 10**6, written with padding zeros that the label drops
+    scheme = RankClassScheme.from_token(_top_token(millionths, leading_zeros, trailing_zeros))
+    whole, decimals = divmod(millionths, 10**6)
+    fraction_digits = f"{decimals:06d}".rstrip("0")
+    assert scheme.label == f"top{whole}" + (f".{fraction_digits}" if fraction_digits else "")
+    assert RankClassScheme.from_token(scheme.label) == scheme
+    share = Fraction(millionths, 10**6)
+    assert scheme.lower_bounds == (0.0, float(100 - share))
+    other_label = RankClassScheme.from_token(_top_token(other, 0, 0)).label
+    assert (other_label == scheme.label) == (other == millionths)
+
+
+@example(threshold=1e-30)  # 100 - 1e-30 needs 32 significant digits
+@example(threshold=5e-324)
+@given(threshold=st.floats(0.0, 100.0, exclude_min=True, exclude_max=True))
+def test_two_class_is_top_of_the_exact_decimal_complement(threshold):
+    scheme = RankClassScheme.two_class(threshold)
+    assert Fraction(scheme.label.removeprefix("top")) == 100 - Fraction(repr(threshold))
+    assert scheme.lower_bounds == (0.0, threshold)
+    assert RankClassScheme.from_token(scheme.label) == scheme
 
 
 def test_nsf6_bounds_partition_axis():

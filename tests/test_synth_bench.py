@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -89,6 +90,7 @@ def test_spec_validation(kwargs, match):
         (dict(sigma=math.nan), "sigma must be finite"),
         (dict(sigma=math.inf), "sigma must be finite"),
         (dict(n=MAX_SET_SIZE + 1), "n must be at most 10,000,000"),
+        (dict(seed=-1), "seed must be non-negative"),
     ],
 )
 def test_spec_rejects_non_finite_parameters_and_huge_sets(kwargs, match):
@@ -193,6 +195,20 @@ def test_config_validation_errors(tmp_path):
     bad.write_text(json.dumps({"sets": [{"set_id": "A", "n": 5, "uncited_share": 0.5}],
                                "scope": "galactic"}))
     with pytest.raises(ValueError, match="unknown scope"):
+        load_experiment_config(bad)
+
+
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (b'{"sets": [', "Expecting value: line 1 column 11 (char 10)"),
+        (b'{"sets": [], "scope": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    ],
+)
+def test_config_that_is_not_json_names_the_file(tmp_path, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    with pytest.raises(ValueError, match=re.escape(f"experiment config {bad}: {message}")):
         load_experiment_config(bad)
 
 
