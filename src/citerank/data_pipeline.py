@@ -452,29 +452,24 @@ def emit_paper_percentiles(
     """Per-paper percentile table, one ``pct_<rule>`` column per rule.
 
     Rows are sorted by (set_id, paper_id) so equal inputs emit equal bytes.
-    The table is built by column from the :class:`CitationTable`: its row
-    indexes are ordered once, and each rule's assignment is computed, read
-    into one column of values in row order, and dropped before the next
-    rule's, so one assignment is alive at a time. Only the delimited and
+    The table is built by column from the :class:`CitationTable`: each
+    rule's assignment is reduced to its column of values (in table order)
+    as soon as it is computed, then the row indexes are ordered once and
+    every column is mapped through that order. Only the delimited and
     aligned forms format text cells, each distinct value once per rule.
     """
     table = dataset.records
     if not table:
         raise ValueError("empty input")
     _check_format(fmt)
+    columns = [table.set_ids, table.paper_ids, table.citations]
+    columns += [compute_percentiles(table, rule, scope).values for rule in rules]
+    # Sorting after the tally keeps the index list out of the tally's peak memory.
     # Two stable sorts give the (set_id, paper_id) order without building tuple keys.
     order = sorted(range(len(table)), key=table.paper_ids.__getitem__)
     order.sort(key=table.set_ids.__getitem__)
-    set_ids, paper_ids, citations = (
-        list(map(column.__getitem__, order)) for column in (table.set_ids, table.paper_ids, table.citations)
-    )
-    del order
-
-    values: list[list[float]] = []
-    for rule in rules:
-        entries = compute_percentiles(table, rule, scope).entries
-        values.append(list(map(entries.__getitem__, paper_ids)))
-        del entries  # free it before the next rule's assignment is built
+    set_ids, paper_ids, citations, *values = (list(map(column.__getitem__, order)) for column in columns)
+    del order, columns
 
     tokens = [rule.token for rule in rules]
 

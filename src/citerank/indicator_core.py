@@ -17,8 +17,8 @@ import operator
 import re
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 from decimal import MAX_PREC, Context, Decimal
 from enum import Enum
 from fractions import Fraction
@@ -255,33 +255,47 @@ class CitationTable(Sequence):
 
 @dataclass(frozen=True)
 class PercentileAssignment:
-    """Per-paper percentiles plus the reference group each was computed in.
+    """One counting rule's percentiles, as a column over the table they were computed from.
 
-    ``entries`` maps paper_id to a percentile in [0, 100]; ``group_keys``
-    and ``set_ids`` record, per paper, the reference-group label used and
-    the owning set. Papers with equal citation counts in the same
+    ``values[i]`` is the percentile, in [0, 100], of record ``i`` of that
+    table. ``tally`` is the rule-independent tally that every rule's
+    assignment over one table and scope shares (see
+    :func:`compute_percentiles`); ``set_ids`` is its paper_id -> set_id
+    mapping, in table order. Papers with equal citation counts in the same
     reference group always hold equal percentiles.
 
-    The first :meth:`percentiles_for_set` call indexes every paper's value
-    by set in one pass over ``entries``; later calls are lookups, so
-    aggregating all sets costs time linear in the number of papers. The
-    mappings must not be mutated: :func:`compute_percentiles` shares
-    ``group_keys`` and ``set_ids`` between every rule's assignment over one
-    table and scope.
+    ``entries`` (paper_id -> percentile) and ``group_keys`` (paper_id ->
+    reference-group label) are paper_id-keyed views built on first read;
+    no percentile or aggregation path reads them. The first
+    :meth:`percentiles_for_set` call indexes the column by set in one pass;
+    later calls are lookups, so aggregating all sets costs time linear in
+    the number of papers.
     """
 
-    entries: Mapping[str, float]
-    group_keys: Mapping[str, str]
-    set_ids: Mapping[str, str]
+    values: tuple[float, ...]
+    tally: _Tally = field(repr=False)
     rule: PercentileRule
     scope: ReferenceScope
+
+    @property
+    def set_ids(self) -> Mapping[str, str]:
+        return self.tally.set_ids
+
+    @cached_property
+    def entries(self) -> dict[str, float]:
+        return dict(zip(self.set_ids, self.values))
+
+    @cached_property
+    def group_keys(self) -> dict[str, str]:
+        labels = [self.tally.names[group] for group in self.tally.groups]
+        return dict(zip(self.set_ids, map(labels.__getitem__, self.tally.row_of)))
 
     @cached_property
     def _values_by_set(self) -> dict[str, list[float]]:
         index: dict[str, list[float]] = defaultdict(list)
-        for paper_id, value in self.entries.items():
-            index[self.set_ids[paper_id]].append(value)
-        return dict(index)
+        for set_id, value in zip(self.set_ids.values(), self.values):
+            index[set_id].append(value)
+        return dict(index)  # a defaultdict would answer an unknown set_id with an empty list
 
     def percentiles_for_set(self, set_id: str) -> list[float]:
         """Percentile values of one set's papers (aggregation-order only).
@@ -389,54 +403,22 @@ def _raise_duplicate_id(paper_ids: Sequence[str]) -> None:
         seen.add(paper_id)
 
 
-class _LazyDict(Mapping):
-    """A read-only mapping whose dict ``build`` makes on first use.
-
-    Percentile paths never read ``group_keys``; building it only when a
-    caller does saves a paper_id-keyed dict per tally.
-    """
-
-    def __init__(self, build: Callable[[], dict]) -> None:
-        self._build = build
-
-    @cached_property
-    def _dict(self) -> dict:
-        return self._build()
-
-    def __getitem__(self, key):
-        return self._dict[key]
-
-    def __iter__(self):
-        return iter(self._dict)
-
-    def __len__(self) -> int:
-        return len(self._dict)
-
-    # whole-mapping reads go to the dict's own views, not through __getitem__ per key
-    def items(self):
-        return self._dict.items()
-
-    def values(self):
-        return self._dict.values()
-
-    def __repr__(self) -> str:
-        return repr(self._dict)
-
-
 class _Tally(NamedTuple):
     """What every counting rule shares for one table under one scope.
 
     ``rows`` holds one (count, lower, tied, n) tuple per distinct
     (group, citation count): the count, how many group members cite less,
     how many cite exactly as much, and the group size. ``row_of`` gives
-    each record's row, in table order. ``set_ids`` and ``group_keys`` are
-    the paper_id-keyed mappings of :class:`PercentileAssignment`.
+    each record's row, in table order. ``set_ids`` maps each paper_id to
+    its set_id, in table order. ``groups`` gives each row's reference-group
+    number, and ``names`` each group's label.
     """
 
     rows: list[tuple[int, int, int, int]]
     row_of: list[int]
     set_ids: dict[str, str]
-    group_keys: Mapping[str, str]
+    groups: list[int]
+    names: list[str]
 
 
 def _tally(table: CitationTable, scope: ReferenceScope) -> _Tally:
@@ -455,19 +437,15 @@ def _tally(table: CitationTable, scope: ReferenceScope) -> _Tally:
     sizes = Counter(groups) if groups is not None else [len(counts)]
     lower = [0] * n_groups
     rows: list[tuple[int, int, int, int]] = []
+    row_groups: list[int] = []
     row_number: dict[int, int] = {}
     for key, tied in sorted(Counter(keys).items()):
         count, group = divmod(key, n_groups)
         row_number[key] = len(rows)
         rows.append((count, lower[group], tied, sizes[group]))
+        row_groups.append(group)
         lower[group] += tied
-    if scope is ReferenceScope.PER_SET:
-        group_keys: Mapping[str, str] = set_of  # the labels are the set ids
-    elif groups is None:
-        group_keys = _LazyDict(lambda: dict.fromkeys(paper_ids, "all"))
-    else:
-        group_keys = _LazyDict(lambda: dict(zip(paper_ids, map(names.__getitem__, groups))))
-    return _Tally(rows, list(map(row_number.__getitem__, keys)), set_of, group_keys)
+    return _Tally(rows, list(map(row_number.__getitem__, keys)), set_of, row_groups, names)
 
 
 def compute_percentiles(
@@ -482,12 +460,12 @@ def compute_percentiles(
     counts. The rule-independent part is one tally per scope, memoized on
     the :class:`CitationTable` (``records`` converted by
     :meth:`CitationTable.of`, which returns a table unchanged): the
-    duplicate-id check, the group numbering, every distinct
-    (group, citation count) with its ``lower``/``tied``/``n``, each
-    record's index into those rows, and the ``set_ids``/``group_keys``
-    mappings, which all rules share. A rule then costs one evaluation per
-    distinct (group, count) plus its ``entries``. Output is independent of
-    input ordering.
+    duplicate-id check and the ``set_ids`` mapping, the group numbering,
+    every distinct (group, citation count) with its ``lower``/``tied``/``n``,
+    and each record's index into those rows. A rule then costs one
+    evaluation per distinct (group, count), and its column of values maps
+    each record through its row; no paper_id-keyed dict is built. A
+    paper's value does not depend on input ordering.
 
     Args:
         records: Citation records with unique paper_ids; non-empty.
@@ -496,15 +474,15 @@ def compute_percentiles(
             ``doc_type`` on every record.
 
     Returns:
-        A :class:`PercentileAssignment` covering every input record.
+        A :class:`PercentileAssignment` whose ``values[i]`` is the
+        percentile of record ``i`` of ``records``.
     """
     table = CitationTable.of(records)
     tally = table._tallies.get(scope)
     if tally is None:
         tally = table._tallies[scope] = _tally(table, scope)
-    values = [_rule_value(rule, lower, lower + tied, count, n) for count, lower, tied, n in tally.rows]
-    entries = dict(zip(table.paper_ids, map(values.__getitem__, tally.row_of)))
-    return PercentileAssignment(entries, tally.group_keys, tally.set_ids, rule, scope)
+    row_values = [_rule_value(rule, lower, lower + tied, count, n) for count, lower, tied, n in tally.rows]
+    return PercentileAssignment(tuple(map(row_values.__getitem__, tally.row_of)), tally, rule, scope)
 
 
 def classify(percentile: float, scheme: RankClassScheme) -> float:

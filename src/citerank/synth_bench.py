@@ -60,6 +60,10 @@ class SetSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not _is_int(self.n):
+            raise ValueError(f"set {self.set_id!r}: n must be an integer")
+        if not _is_int(self.seed):
+            raise ValueError(f"set {self.set_id!r}: seed must be an integer")
         if self.n <= 0:
             raise ValueError(f"set {self.set_id!r}: n must be positive")
         if self.n > MAX_SET_SIZE:

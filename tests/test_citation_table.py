@@ -21,6 +21,7 @@ from citerank import (
     CitationRecord,
     CitationTable,
     InputDataset,
+    PercentileAssignment,
     PercentileRule,
     RankClassScheme,
     ReferenceScope,
@@ -146,6 +147,8 @@ def test_table_tally_matches_a_shuffled_list_and_the_exact_oracle(rows, seed):
     for rule, scope in runs:
         from_table = compute_percentiles(table, rule, scope)
         from_list = compute_percentiles(shuffled, rule, scope)
+        by_paper = dict(zip(table.paper_ids, from_table.values))
+        assert len(from_table.values) == len(table) and by_paper == from_table.entries
         assert from_table.entries == from_list.entries
         assert from_table.group_keys == from_list.group_keys
         assert from_table.set_ids == from_list.set_ids
@@ -231,6 +234,42 @@ def test_rank_and_simulate_build_no_records(monkeypatch, capsys, tmp_path):
     assert built == []
     parse_records(io.StringIO(DOC_CSV)).records[0]  # the counter does see a record built on demand
     assert built == ["a1"]
+
+
+def _count_paper_id_views(monkeypatch):
+    built = []
+    for name in ("entries", "group_keys"):
+        view = getattr(PercentileAssignment, name)
+
+        def counting(assignment, _build=view.func, _name=name):
+            built.append(_name)
+            return _build(assignment)
+
+        monkeypatch.setattr(view, "func", counting)
+    return built
+
+
+def test_cli_paths_build_no_paper_id_keyed_dict(monkeypatch, capsys, tmp_path):
+    built = _count_paper_id_views(monkeypatch)
+    path = tmp_path / "doc.csv"
+    path.write_text(DOC_CSV)
+    rules = [flag for rule in PercentileRule for flag in ("--rule", rule.token)]
+    for scope in ReferenceScope:
+        for extra in (["--per-paper"], ["--scheme", "nsf6"]):
+            assert main(["rank", "--input", str(path), *rules, "--scope", scope.token, *extra]) == 0
+    assert main(["compare-rules", "--input", str(path), *rules]) == 0
+    assert main(["ztest", "--input", str(path), "--set-a", "A", "--set-b", "B", "--rule", "rousseau-raw"]) == 0
+    sets = [{"set_id": set_id, "n": 40, "uncited_share": 0.25, "seed": seed}
+            for seed, set_id in enumerate("XYZ")]
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({"sets": sets, "scope": "per-set"}))
+    assert main(["simulate", "--config", str(config)]) == 0
+    capsys.readouterr()
+    assert built == []
+    assignment = compute_percentiles(parse_records(io.StringIO(DOC_CSV)).records, QUANTILE)
+    assert assignment.group_keys is assignment.group_keys  # built on first read, then kept
+    assert len(assignment.entries) == 6
+    assert built == ["group_keys", "entries"]
 
 
 def test_paper_table_json_formats_no_text_cells(monkeypatch):

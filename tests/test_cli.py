@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import csv
 import importlib
 import json
@@ -410,6 +411,19 @@ def test_cli_import_does_not_load_numpy():
 def test_every_exported_name_resolves(module):
     imported = importlib.import_module(module)
     assert [name for name in getattr(imported, "__all__", ()) if not hasattr(imported, name)] == []
+
+
+@pytest.mark.parametrize("module", [f"citerank.{info.name}" for info in pkgutil.iter_modules(citerank.__path__)])
+def test_every_imported_name_is_used(module):
+    tree = ast.parse(Path(importlib.import_module(module).__file__).read_text())
+    imported = {
+        (alias.asname or alias.name).partition(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used) == []
 
 
 def test_simulate_json_format(capsys):

@@ -352,10 +352,7 @@ def _assignment_with(values):
     """Fake a per-set assignment carrying exactly these percentile values."""
     records = make_records([0] * len(values))
     assignment = compute_percentiles(records, PercentileRule.QUANTILE, ReferenceScope.PER_SET)
-    entries = {f"a{i}": v for i, v in enumerate(values)}
-    return type(assignment)(
-        entries, assignment.group_keys, assignment.set_ids, assignment.rule, assignment.scope
-    )
+    return type(assignment)(tuple(values), assignment.tally, assignment.rule, assignment.scope)
 
 
 def test_top_share_examples():

@@ -98,6 +98,14 @@ def test_spec_rejects_non_finite_parameters_and_huge_sets(kwargs, match):
         SetSpec("S", **{"n": 5, "uncited_share": 0.5, **kwargs})
 
 
+@pytest.mark.parametrize("field", ["n", "seed"])
+@pytest.mark.parametrize("value", [1.5, 5.0, True])
+def test_spec_rejects_non_integer_size_and_seed(field, value):
+    # generate_set would fail later with numpy's TypeError, which the CLI does not catch
+    with pytest.raises(ValueError, match=rf"^set 'S': {field} must be an integer$"):
+        SetSpec("S", **{"n": 5, "uncited_share": 0.5, field: value})
+
+
 @pytest.mark.parametrize("mu,sigma", [(800.0, 1.0), (44.0, 0.0), (1.0, 1e300)])
 def test_generate_set_rejects_draws_beyond_int64(mu, sigma):
     # exp(44) is about 1.3e19, above 2**63; exp(800) and sigma 1e300 overflow to infinity
