@@ -9,6 +9,7 @@ always emit byte-identical streams (timestamps never enter any payload).
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import re
@@ -30,6 +31,7 @@ from .indicator_core import (
     ReferenceScope,
     SetReport,
     _check_threshold,
+    _table_tally,
     compute_percentiles,
     i3,
     percent_i3,
@@ -55,6 +57,9 @@ FORMATS = ("delimited", "aligned", "json")
 
 # Rows parsed per chunk: the raw rows of one chunk are alive at a time.
 CHUNK_ROWS = 16384
+
+# A delimited cell holding one of these is quoted (see _cell).
+_QUOTED = re.compile(r'[,"\r\n]')
 
 # ASCII digits with an optional sign: int() alone also takes "1_000" and non-ASCII digits.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -130,9 +135,14 @@ def parse_records(stream: TextIO, source: str = "<stream>") -> InputDataset:
 
     Rows are read in chunks of :data:`CHUNK_ROWS`, and each chunk's
     columns are checked in bulk; only when a check fails are the chunk's
-    rows scanned one by one for the first offending row.
+    rows scanned one by one for the first offending row. Cyclic garbage
+    collection is paused meanwhile and left as the caller had it.
     """
     reader = csv.reader(stream)
+    # The parse makes no reference cycles: its garbage, the row lists, is freed by reference
+    # counting, and the lists it allocates would otherwise start collection passes that free nothing.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return _parse_rows(reader, source)
     except csv.Error as exc:
@@ -140,6 +150,9 @@ def parse_records(stream: TextIO, source: str = "<stream>") -> InputDataset:
     except UnicodeDecodeError as exc:
         # the decoder's byte offset counts from its read buffer, not from the start of the file
         raise ValueError(f"{source} is not UTF-8 text: {exc.reason}") from None
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def _parse_rows(reader: Iterator[list[str]], source: str) -> InputDataset:
@@ -335,6 +348,7 @@ def _check_format(fmt: str) -> None:
 
 
 def _aligned_lines(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> list[str]:
+    """The newline-terminated lines of one table, each column padded to its widest cell."""
     body = [list(columns)] + [list(row) for row in rows]
     widths = [max(len(line[i]) for line in body) for i in range(len(columns))]
     lines = []
@@ -343,8 +357,19 @@ def _aligned_lines(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> lis
         cells = [line[0].ljust(widths[0])] + [
             cell.rjust(widths[i]) for i, cell in enumerate(line) if i > 0
         ]
-        lines.append("  ".join(cells).rstrip())
+        lines.append("  ".join(cells).rstrip() + "\n")
     return lines
+
+
+def _cell(text: str) -> str:
+    """One delimited cell: quoted, its quotes doubled, if it holds ``,``, ``"``, ``\\r`` or ``\\n``."""
+    if _QUOTED.search(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def _csv_line(cells: Iterable[str]) -> str:
+    return ",".join(map(_cell, cells)) + "\n"
 
 
 def _render(
@@ -352,33 +377,38 @@ def _render(
     payload: Callable[[], object],
     title: str,
     tables: Sequence[tuple[str | None, Sequence[str], Iterable[Sequence[str]]]],
-    aligned: Sequence[str] | None = None,
+    lines: Iterable[str] | None = None,
 ) -> str:
     """Render one report in one of :data:`FORMATS`.
 
     ``payload`` builds the JSON document and is called for ``json`` only.
     ``tables`` holds (caption, columns, rows) sections: ``delimited``
-    writes them all through one ``csv.writer`` after the ``# citerank-i3
-    <version>`` leader, each captioned section under a ``# <caption>``
-    line. The aligned form prints the program name and ``title``, a blank
-    line, then the ``aligned`` lines if given, else every section laid out
-    by :func:`_aligned_lines`.
+    writes them all, one :func:`_csv_line` per row, after the ``#
+    citerank-i3 <version>`` leader, each captioned section under a ``#
+    <caption>`` line. The aligned form prints the program name and
+    ``title``, a blank line, then every section laid out by
+    :func:`_aligned_lines`. ``lines``, if given, are the newline-terminated
+    body lines of ``fmt``, written after the leader or title in place of
+    the sections.
     """
     _check_format(fmt)
     if fmt == "json":
         return json.dumps(payload(), indent=2) + "\n"
-    if fmt == "aligned":
-        if aligned is None:
-            aligned = [line for _, head, rows in tables for line in _aligned_lines(head, rows)]
-        return "\n".join([f"citerank-i3 {__version__} {title}", "", *aligned]) + "\n"
     buffer = io.StringIO()
-    buffer.write(f"# citerank-i3 {__version__}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    for caption, columns, rows in tables:
-        if caption is not None:
-            buffer.write(f"# {caption}\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+    if fmt == "aligned":
+        buffer.write(f"citerank-i3 {__version__} {title}\n\n")
+    else:
+        buffer.write(f"# citerank-i3 {__version__}\n")
+    if lines is not None:
+        buffer.writelines(lines)
+    elif fmt == "aligned":
+        for _, columns, rows in tables:
+            buffer.writelines(_aligned_lines(columns, rows))
+    else:
+        for caption, columns, rows in tables:
+            if caption is not None:
+                buffer.write(f"# {caption}\n")
+            buffer.writelines(map(_csv_line, chain([columns], rows)))
     return buffer.getvalue()
 
 
@@ -426,13 +456,28 @@ def emit_ranking_table(report: RankingReport, fmt: str = "delimited") -> str:
 
 
 def parse_ranking_table(text: str) -> list[dict[str, object]]:
-    """Parse a delimited report back into typed row dicts."""
-    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
-    reader = csv.DictReader(lines)
+    """Parse a delimited report back into typed row dicts.
+
+    Blank lines and lines that start with ``#`` (the version leader) are
+    skipped, and the first other row is the header. Raises ``ValueError``
+    naming the line of a row whose cell count differs from the header's.
+    """
+    lines = io.StringIO(text, newline="").readlines()
+    reader = csv.reader(lines)
+    header: list[str] | None = None
     rows: list[dict[str, object]] = []
-    for raw in reader:
+    end = 0
+    for cells in reader:
+        line, end = end + 1, reader.line_num  # the row's first line, and its last
+        if not cells or lines[line - 1].startswith("#"):
+            continue
+        if header is None:
+            header = cells
+            continue
+        if len(cells) != len(header):
+            raise ValueError(f"row at line {line} has {len(cells)} cells, the header {len(header)}")
         row: dict[str, object] = {}
-        for column, cell in raw.items():
+        for column, cell in zip(header, cells):
             if column in ("n_papers", "total_citations") or column.startswith("rank_"):
                 row[column] = int(cell)
             elif column.startswith("pI3_") or column == "top_share":
@@ -452,52 +497,62 @@ def emit_paper_percentiles(
     """Per-paper percentile table, one ``pct_<rule>`` column per rule.
 
     Rows are sorted by (set_id, paper_id) so equal inputs emit equal bytes.
-    The table is built by column from the :class:`CitationTable`: each
-    rule's assignment is reduced to its column of values (in table order)
-    as soon as it is computed, then the row indexes are ordered once and
-    every column is mapped through that order. Only the delimited and
-    aligned forms format text cells, each distinct value once per rule.
+    Every paper in one row of the shared tally (one reference group and
+    citation count) holds the same count and percentiles, so the table is
+    rendered from the tally: each rule gives only its ``row_values``, and
+    the delimited and aligned forms format one text tail per tally row,
+    then write each paper's line, in one walk over the sorted record
+    order, as its set_id and paper_id cells followed by the tail of its
+    row. The json form reads each paper's numbers through its row too and
+    formats no text cells.
     """
     table = dataset.records
     if not table:
         raise ValueError("empty input")
     _check_format(fmt)
-    columns = [table.set_ids, table.paper_ids, table.citations]
-    columns += [compute_percentiles(table, rule, scope).values for rule in rules]
+    row_values = [compute_percentiles(table, rule, scope).row_values for rule in rules]
+    tally = _table_tally(table, scope)
+    set_ids, paper_ids, row_of = table.set_ids, table.paper_ids, tally.row_of
+    counts = [count for count, _, _, _ in tally.rows]
     # Sorting after the tally keeps the index list out of the tally's peak memory.
     # Two stable sorts give the (set_id, paper_id) order without building tuple keys.
-    order = sorted(range(len(table)), key=table.paper_ids.__getitem__)
-    order.sort(key=table.set_ids.__getitem__)
-    set_ids, paper_ids, citations, *values = (list(map(column.__getitem__, order)) for column in columns)
-    del order, columns
+    order = sorted(range(len(table)), key=paper_ids.__getitem__)
+    order.sort(key=set_ids.__getitem__)
 
     tokens = [rule.token for rule in rules]
 
     def payload() -> dict[str, object]:
-        return {
-            "version": __version__,
-            "rules": tokens,
-            "scope": scope.token,
-            "papers": [
-                {
-                    "set_id": set_id,
-                    "paper_id": paper_id,
-                    "citations": count,
-                    "percentiles": dict(zip(tokens, row)),
-                }
-                for set_id, paper_id, count, row in zip(set_ids, paper_ids, citations, zip(*values))
-            ],
-        }
+        numbers = [(count, dict(zip(tokens, values))) for count, *values in zip(counts, *row_values)]
+        papers = []
+        for i in order:
+            count, percentiles = numbers[row_of[i]]
+            papers.append(
+                {"set_id": set_ids[i], "paper_id": paper_ids[i], "citations": count, "percentiles": percentiles}
+            )
+        return {"version": __version__, "rules": tokens, "scope": scope.token, "papers": papers}
 
-    def text_rows() -> Iterator[Iterator[tuple[str, ...]]]:
-        # Yields the rows as one iterator, on first use: the json form never asks, so it
-        # formats no cells, and the other forms read the rows from zip without a frame per row.
-        cells = [set_ids, paper_ids]
-        for column, spec in [(citations, "d"), *((column, ".6f") for column in values)]:
-            text_of = {value: format(value, spec) for value in set(column)}
-            cells.append(list(map(text_of.__getitem__, column)))
-        yield zip(*cells)
-
-    columns = ["set_id", "paper_id", "citations"] + [f"pct_{token}" for token in tokens]
+    header = ["set_id", "paper_id", "citations"] + [f"pct_{token}" for token in tokens]
     title = f"paper percentiles (scope: {scope.token})"
-    return _render(fmt, payload, title, [(None, columns, chain.from_iterable(text_rows()))])
+    if fmt == "json":
+        return _render(fmt, payload, title, ())
+    # the numeric cells of each tally row
+    columns = [list(map(str, counts))] + [[format(value, ".6f") for value in values] for values in row_values]
+    distinct_sets = set(set_ids)
+    if fmt == "delimited":
+        sep = ","
+        heading = _csv_line(header)
+        set_cells = {set_id: _cell(set_id) + sep for set_id in distinct_sets}
+        # paper_ids are distinct: encode them only when one needs quoting
+        paper_cells = paper_ids if _QUOTED.search("".join(paper_ids)) is None else list(map(_cell, paper_ids))
+        tails = [sep + sep.join(cells) + "\n" for cells in zip(*columns)]
+    else:
+        # _aligned_lines's layout; every line ends in a right-aligned number, so its rstrip is a no-op
+        sep = "  "
+        texts = [distinct_sets, paper_ids, *columns]
+        widths = [max(len(name), max(map(len, column))) for name, column in zip(header, texts)]
+        heading = sep.join([header[0].ljust(widths[0]), *map(str.rjust, header[1:], widths[1:])]) + "\n"
+        set_cells = {set_id: set_id.ljust(widths[0]) + sep for set_id in distinct_sets}
+        paper_cells = [paper_id.rjust(widths[1]) for paper_id in paper_ids]
+        tails = [sep + sep.join(map(str.rjust, cells, widths[2:])) + "\n" for cells in zip(*columns)]
+    lines = (f"{set_cells[set_ids[i]]}{paper_cells[i]}{tails[row_of[i]]}" for i in order)
+    return _render(fmt, payload, title, (), chain([heading], lines))

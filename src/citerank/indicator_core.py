@@ -255,24 +255,27 @@ class CitationTable(Sequence):
 
 @dataclass(frozen=True)
 class PercentileAssignment:
-    """One counting rule's percentiles, as a column over the table they were computed from.
+    """One counting rule's percentiles, one value per row of the tally they were computed from.
 
-    ``values[i]`` is the percentile, in [0, 100], of record ``i`` of that
-    table. ``tally`` is the rule-independent tally that every rule's
-    assignment over one table and scope shares (see
-    :func:`compute_percentiles`); ``set_ids`` is its paper_id -> set_id
-    mapping, in table order. Papers with equal citation counts in the same
-    reference group always hold equal percentiles.
+    ``tally`` is the rule-independent tally that every rule's assignment
+    over one table and scope shares (see :func:`compute_percentiles`), and
+    ``row_values[r]`` is the percentile, in [0, 100], of every paper in its
+    row ``r``: one (reference group, citation count) pair. So papers with
+    equal citation counts in the same reference group always hold equal
+    percentiles. ``set_ids`` is the tally's paper_id -> set_id mapping, in
+    table order.
 
-    ``entries`` (paper_id -> percentile) and ``group_keys`` (paper_id ->
-    reference-group label) are paper_id-keyed views built on first read;
-    no percentile or aggregation path reads them. The first
-    :meth:`percentiles_for_set` call indexes the column by set in one pass;
-    later calls are lookups, so aggregating all sets costs time linear in
-    the number of papers.
+    ``values`` is the per-record column, ``values[i]`` the percentile of
+    record ``i`` of the table, built on first read; the per-paper table
+    reads ``row_values`` through ``tally.row_of`` instead. ``entries``
+    (paper_id -> percentile) and ``group_keys`` (paper_id -> reference-group
+    label) are paper_id-keyed views built on first read; no percentile or
+    aggregation path reads them. The first :meth:`percentiles_for_set` call
+    indexes ``values`` by set in one pass; later calls are lookups, so
+    aggregating all sets costs time linear in the number of papers.
     """
 
-    values: tuple[float, ...]
+    row_values: list[float]
     tally: _Tally = field(repr=False)
     rule: PercentileRule
     scope: ReferenceScope
@@ -280,6 +283,10 @@ class PercentileAssignment:
     @property
     def set_ids(self) -> Mapping[str, str]:
         return self.tally.set_ids
+
+    @cached_property
+    def values(self) -> tuple[float, ...]:
+        return tuple(map(self.row_values.__getitem__, self.tally.row_of))
 
     @cached_property
     def entries(self) -> dict[str, float]:
@@ -463,9 +470,9 @@ def compute_percentiles(
     duplicate-id check and the ``set_ids`` mapping, the group numbering,
     every distinct (group, citation count) with its ``lower``/``tied``/``n``,
     and each record's index into those rows. A rule then costs one
-    evaluation per distinct (group, count), and its column of values maps
-    each record through its row; no paper_id-keyed dict is built. A
-    paper's value does not depend on input ordering.
+    evaluation per distinct (group, count), kept as the assignment's
+    ``row_values``; no per-record column and no paper_id-keyed dict is
+    built. A paper's value does not depend on input ordering.
 
     Args:
         records: Citation records with unique paper_ids; non-empty.
@@ -474,15 +481,20 @@ def compute_percentiles(
             ``doc_type`` on every record.
 
     Returns:
-        A :class:`PercentileAssignment` whose ``values[i]`` is the
-        percentile of record ``i`` of ``records``.
+        A :class:`PercentileAssignment` whose ``row_values[tally.row_of[i]]``
+        (and ``values[i]``) is the percentile of record ``i`` of ``records``.
     """
-    table = CitationTable.of(records)
+    tally = _table_tally(CitationTable.of(records), scope)
+    row_values = [_rule_value(rule, lower, lower + tied, count, n) for count, lower, tied, n in tally.rows]
+    return PercentileAssignment(row_values, tally, rule, scope)
+
+
+def _table_tally(table: CitationTable, scope: ReferenceScope) -> _Tally:
+    """The tally of ``table`` under ``scope``, computed on first use and then kept on the table."""
     tally = table._tallies.get(scope)
     if tally is None:
         tally = table._tallies[scope] = _tally(table, scope)
-    row_values = [_rule_value(rule, lower, lower + tied, count, n) for count, lower, tied, n in tally.rows]
-    return PercentileAssignment(tuple(map(row_values.__getitem__, tally.row_of)), tally, rule, scope)
+    return tally
 
 
 def classify(percentile: float, scheme: RankClassScheme) -> float:

@@ -318,12 +318,12 @@ def emit_divergence(result: DivergenceResult, fmt: str = "delimited") -> str:
     for metric, matrix in matrices:
         header = [""] + [token.rjust(column) for token in tokens]
         rows = [[token] + [f"{value:{column}.6f}" for value in row] for token, row in zip(tokens, matrix)]
-        aligned.append(f"{metric.capitalize()} correlation of percent-I3:")
-        aligned += _aligned_lines(header, rows) + [""]
-    aligned.append("Top-ranked set per rule:")
-    aligned += [f"  {token.ljust(width)}  {result.top_set[token]}" for token in tokens]
+        aligned.append(f"{metric.capitalize()} correlation of percent-I3:\n")
+        aligned += _aligned_lines(header, rows) + ["\n"]
+    aligned.append("Top-ranked set per rule:\n")
+    aligned += [f"  {token.ljust(width)}  {result.top_set[token]}\n" for token in tokens]
     title = f"rule divergence over {n_sets} sets"
-    return _render(fmt, result.to_dict, title, tables, aligned)
+    return _render(fmt, result.to_dict, title, tables, aligned if fmt == "aligned" else None)
 
 
 def fixture_path(name: str) -> Path:

@@ -236,9 +236,9 @@ def test_rank_and_simulate_build_no_records(monkeypatch, capsys, tmp_path):
     assert built == ["a1"]
 
 
-def _count_paper_id_views(monkeypatch):
+def _count_paper_id_views(monkeypatch, names=("entries", "group_keys")):
     built = []
-    for name in ("entries", "group_keys"):
+    for name in names:
         view = getattr(PercentileAssignment, name)
 
         def counting(assignment, _build=view.func, _name=name):
@@ -270,6 +270,23 @@ def test_cli_paths_build_no_paper_id_keyed_dict(monkeypatch, capsys, tmp_path):
     assert assignment.group_keys is assignment.group_keys  # built on first read, then kept
     assert len(assignment.entries) == 6
     assert built == ["group_keys", "entries"]
+
+
+def test_paper_table_builds_no_per_record_values(monkeypatch, capsys, tmp_path):
+    built = _count_paper_id_views(monkeypatch, ("values",))
+    path = tmp_path / "doc.csv"
+    path.write_text(DOC_CSV)
+    rules = [flag for rule in PercentileRule for flag in ("--rule", rule.token)]
+    for scope in ReferenceScope:
+        for fmt in ("delimited", "aligned", "json"):
+            argv = ["rank", "--input", str(path), *rules, "--scope", scope.token, "--per-paper", "--format", fmt]
+            assert main(argv) == 0
+    capsys.readouterr()
+    assert built == []
+    assignment = compute_percentiles(parse_records(io.StringIO(DOC_CSV)).records, QUANTILE)
+    assert top_count(assignment, "A", 50.0) == (1, 3)  # the set index reads the view
+    assert assignment.values == tuple(100.0 * lower / 6 for lower in (2, 0, 3, 4, 1, 4))
+    assert built == ["values"]
 
 
 def test_paper_table_json_formats_no_text_cells(monkeypatch):

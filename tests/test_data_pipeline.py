@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import random
@@ -22,6 +23,8 @@ from citerank import (
     ReferenceScope,
     class_histogram,
     compute_percentiles,
+    divergence_from_report,
+    emit_divergence,
     emit_paper_percentiles,
     emit_ranking_table,
     fixture_path,
@@ -288,6 +291,30 @@ def test_tied_rows_share_rank():
     assert rows[0][f"rank_{key}"] == rows[1][f"rank_{key}"] == 1
 
 
+RANKING_HEADER = "set_id,n_papers,total_citations,pI3_quantile_p100,rank_quantile_p100,top_share"
+
+
+@pytest.mark.parametrize("row, cells", [("B,2,5,50.000000", 4), ("B,2,5,50.000000,1,0.000000,9", 7)])
+def test_parse_ranking_table_names_the_line_of_a_row_of_the_wrong_width(row, cells):
+    text = f"# citerank-i3 0.1.0\n{RANKING_HEADER}\nA,2,5,50.000000,1,0.000000\n\n{row}\n"
+    with pytest.raises(ValueError, match=rf"^row at line 5 has {cells} cells, the header 6$"):
+        parse_ranking_table(text)
+
+
+def test_carriage_return_in_an_id_is_quoted_in_every_delimited_report():
+    dataset = _dataset('set_id,paper_id,citations\nA,"p\rq",3\n"B\rx",b1,5\n')
+
+    def rows(text):
+        return list(csv.reader(io.StringIO(text, newline="")))
+
+    per_paper = rows(emit_paper_percentiles(dataset, (QUANTILE,)))
+    assert per_paper[2:] == [["A", "p\rq", "3", "0.000000"], ["B\rx", "b1", "5", "50.000000"]]
+    report = run_analysis(dataset, AnalysisConfig((QUANTILE, PercentileRule.LB09), (P100,)))
+    assert [row["set_id"] for row in parse_ranking_table(emit_ranking_table(report))] == ["B\rx", "A"]
+    divergence = rows(emit_divergence(divergence_from_report(report, P100)))
+    assert [row[0] for row in divergence[3:5]] == ["A", "B\rx"]
+
+
 def test_shuffled_input_emits_identical_bytes():
     lines = TWO_SET_CSV.strip().splitlines()
     header, body = lines[0], lines[1:]
@@ -343,11 +370,12 @@ def test_paper_percentile_table():
 
 # --- per-paper table by column ------------------------------------------------
 
-# Ids carry commas and quotes, and are numbered so that paper_id order differs from set order.
+# Ids carry commas, quotes, line breaks and padding, and are numbered so that paper_id order
+# differs from set order.
 paper_rows = st.lists(
     st.tuples(
-        st.sampled_from(["B", "A", 'C,"q"']),
-        st.sampled_from(["", ",", '"', 'x"y,z']),
+        st.sampled_from(["B", "A", 'C,"q"', "D\rx", " E "]),
+        st.sampled_from(["", ",", '"', 'x"y,z', "\n", "\r", " s "]),
         st.integers(min_value=0, max_value=9),
         st.sampled_from(["article", "review"]),
     ),
@@ -394,9 +422,9 @@ def test_paper_table_matches_percentile_of_in_every_scope_and_format(rows):
         ]
 
         delimited = emit_paper_percentiles(dataset, rules, scope, "delimited")
-        lines = delimited.splitlines(keepends=True)
-        assert lines[0] == "# citerank-i3 0.1.0\n"
-        assert list(csv.reader(lines[1:])) == [header] + cells
+        leader, body = delimited.split("\n", 1)
+        assert leader == "# citerank-i3 0.1.0"
+        assert list(csv.reader(io.StringIO(body, newline=""))) == [header] + cells
 
         payload = json.loads(emit_paper_percentiles(dataset, rules, scope, "json"))
         assert payload["rules"] == tokens and payload["scope"] == scope.token
@@ -410,12 +438,13 @@ def test_paper_table_matches_percentile_of_in_every_scope_and_format(rows):
             for set_id, paper_id, count, values in expected
         ]
 
-        aligned = emit_paper_percentiles(dataset, rules, scope, "aligned").splitlines()
-        assert aligned[:2] == [f"citerank-i3 0.1.0 paper percentiles (scope: {scope.token})", ""]
+        # ids with line breaks break aligned lines, so the whole text is compared
         widths = [max(len(row[i]) for row in [header] + cells) for i in range(len(header))]
-        for line, row in zip(aligned[2:], [header] + cells, strict=True):
+        lines = [f"citerank-i3 0.1.0 paper percentiles (scope: {scope.token})", ""]
+        for row in [header] + cells:
             padded = [row[0].ljust(widths[0])] + [cell.rjust(widths[i]) for i, cell in enumerate(row) if i]
-            assert line == "  ".join(padded).rstrip()
+            lines.append("  ".join(padded).rstrip())
+        assert emit_paper_percentiles(dataset, rules, scope, "aligned") == "\n".join(lines) + "\n"
 
 
 def test_paper_table_duplicate_id_error_unchanged():
@@ -479,6 +508,34 @@ def test_parse_reports_csv_module_errors_as_value_errors():
     huge = "x" * (csv.field_size_limit() + 1)
     with pytest.raises(ValueError, match="malformed CSV at line 2 of inline: field larger"):
         _dataset(f"set_id,paper_id,citations\nA,{huge},1\n")
+
+
+def test_parse_pauses_gc_and_leaves_it_as_the_caller_had_it(monkeypatch):
+    during = []
+    parse_rows = data_pipeline._parse_rows
+
+    def recording(reader, source):
+        during.append(gc.isenabled())
+        return parse_rows(reader, source)
+
+    monkeypatch.setattr(data_pipeline, "_parse_rows", recording)
+    malformed = f"set_id,paper_id,citations\nA,{'x' * (csv.field_size_limit() + 1)},1\n"
+    assert gc.isenabled()
+    _dataset(TWO_SET_CSV)
+    assert gc.isenabled()
+    with pytest.raises(ValueError, match="malformed CSV"):
+        _dataset(malformed)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        _dataset(TWO_SET_CSV)
+        assert not gc.isenabled()
+        with pytest.raises(ValueError, match="malformed CSV"):
+            _dataset(malformed)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert during == [False] * 4
 
 
 csv_text = st.one_of(

@@ -2,8 +2,10 @@
 
 Each case runs ``citerank.cli.main`` in process and compares its stdout with
 ``tests/golden/<case>.txt``. The inputs are the packaged ``reviews10.csv``
-(one set) and ``tests/golden/multi.csv`` (four sets whose ids hold commas
-and quotes). To rewrite the files after a deliberate output change, run
+(one set), ``tests/golden/multi.csv`` (four sets whose ids hold commas
+and quotes) and ``tests/golden/multi_doc.csv`` (the same kind of ids, with
+a doc_type column for the doc-type scopes). To rewrite the files after a
+deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden_output.py`` and record every
 changed file, and why it changed, in CHANGES.md.
 """
@@ -22,6 +24,8 @@ from citerank.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = {"reviews": str(fixture_path("reviews10.csv")), "multi": str(GOLDEN / "multi.csv")}
+# four sets of mixed doc types whose ids hold commas and quotes, for the doc-type scopes
+MULTI_DOC = str(GOLDEN / "multi_doc.csv")
 FORMATS = ("delimited", "aligned", "json")
 ALL_RULES = ["--rule", "quantile", "--rule", "lb09", "--rule", "rousseau-raw", "--rule", "rousseau"]
 ALL_SCHEMES = ["--scheme", "p100", "--scheme", "nsf6", "--scheme", "top10"]
@@ -36,6 +40,10 @@ def _cases() -> dict[str, list[str]]:
                 grid = ["rank", "--input", path, "--scope", scope, *ALL_RULES, *ALL_SCHEMES]
                 cases[f"rank-{name}-{scope}.{fmt}"] = [*grid, "--format", fmt]
                 cases[f"rank-{name}-{scope}-per-paper.{fmt}"] = [*grid, "--per-paper", "--format", fmt]
+        for scope in ("per-doc-type", "per-set-and-doc-type"):
+            cases[f"rank-multi_doc-{scope}-per-paper.{fmt}"] = [
+                "rank", "--input", MULTI_DOC, "--scope", scope, *ALL_RULES, "--per-paper", "--format", fmt,
+            ]
         # compare-rules needs at least two sets, so it runs on the multi-set input only
         multi = INPUTS["multi"]
         cases[f"compare-rules-multi.{fmt}"] = ["compare-rules", "--input", multi, *ALL_RULES, "--format", fmt]

@@ -350,9 +350,11 @@ def test_percent_i3_empty():
 
 def _assignment_with(values):
     """Fake a per-set assignment carrying exactly these percentile values."""
-    records = make_records([0] * len(values))
+    # distinct counts give every record a tally row of its own, in record order
+    records = make_records(range(len(values)))
     assignment = compute_percentiles(records, PercentileRule.QUANTILE, ReferenceScope.PER_SET)
-    return type(assignment)(tuple(values), assignment.tally, assignment.rule, assignment.scope)
+    assert assignment.tally.row_of == list(range(len(values)))
+    return type(assignment)(list(values), assignment.tally, assignment.rule, assignment.scope)
 
 
 def test_top_share_examples():
