@@ -136,7 +136,10 @@ def parse_records(stream: TextIO, source: str = "<stream>") -> InputDataset:
     Rows are read in chunks of :data:`CHUNK_ROWS`, and each chunk's
     columns are checked in bulk; only when a check fails are the chunk's
     rows scanned one by one for the first offending row. Cyclic garbage
-    collection is paused meanwhile and left as the caller had it.
+    collection is paused meanwhile and left as the caller had it. The pause
+    is process-wide: other threads run without cyclic collection until the
+    parse ends, and if one of them disables collection during the parse,
+    the parse re-enables it on exit.
     """
     reader = csv.reader(stream)
     # The parse makes no reference cycles: its garbage, the row lists, is freed by reference
@@ -499,12 +502,13 @@ def emit_paper_percentiles(
     Rows are sorted by (set_id, paper_id) so equal inputs emit equal bytes.
     Every paper in one row of the shared tally (one reference group and
     citation count) holds the same count and percentiles, so the table is
-    rendered from the tally: each rule gives only its ``row_values``, and
-    the delimited and aligned forms format one text tail per tally row,
-    then write each paper's line, in one walk over the sorted record
-    order, as its set_id and paper_id cells followed by the tail of its
-    row. The json form reads each paper's numbers through its row too and
-    formats no text cells.
+    rendered from the tally: each rule gives only its ``row_values``, the
+    numeric cells are formatted once per tally row, and each paper's line
+    is built from its set_id and paper_id cells and the cells of its row,
+    in one walk over the sorted record order. The delimited form joins
+    each row's cells into one text tail; the aligned form hands the rows
+    to :func:`_aligned_lines`; the json form reads each paper's numbers
+    through its row too and formats no text cells.
     """
     table = dataset.records
     if not table:
@@ -536,23 +540,13 @@ def emit_paper_percentiles(
     if fmt == "json":
         return _render(fmt, payload, title, ())
     # the numeric cells of each tally row
-    columns = [list(map(str, counts))] + [[format(value, ".6f") for value in values] for values in row_values]
-    distinct_sets = set(set_ids)
-    if fmt == "delimited":
-        sep = ","
-        heading = _csv_line(header)
-        set_cells = {set_id: _cell(set_id) + sep for set_id in distinct_sets}
-        # paper_ids are distinct: encode them only when one needs quoting
-        paper_cells = paper_ids if _QUOTED.search("".join(paper_ids)) is None else list(map(_cell, paper_ids))
-        tails = [sep + sep.join(cells) + "\n" for cells in zip(*columns)]
-    else:
-        # _aligned_lines's layout; every line ends in a right-aligned number, so its rstrip is a no-op
-        sep = "  "
-        texts = [distinct_sets, paper_ids, *columns]
-        widths = [max(len(name), max(map(len, column))) for name, column in zip(header, texts)]
-        heading = sep.join([header[0].ljust(widths[0]), *map(str.rjust, header[1:], widths[1:])]) + "\n"
-        set_cells = {set_id: set_id.ljust(widths[0]) + sep for set_id in distinct_sets}
-        paper_cells = [paper_id.rjust(widths[1]) for paper_id in paper_ids]
-        tails = [sep + sep.join(map(str.rjust, cells, widths[2:])) + "\n" for cells in zip(*columns)]
+    row_cells = list(zip(map(str, counts), *([format(value, ".6f") for value in values] for values in row_values)))
+    if fmt == "aligned":
+        rows = ((set_ids[i], paper_ids[i], *row_cells[row_of[i]]) for i in order)
+        return _render(fmt, payload, title, [(None, header, rows)])
+    set_cells = {set_id: _cell(set_id) + "," for set_id in set(set_ids)}
+    # paper_ids are distinct: encode them only when one needs quoting
+    paper_cells = paper_ids if _QUOTED.search("".join(paper_ids)) is None else list(map(_cell, paper_ids))
+    tails = ["," + ",".join(cells) + "\n" for cells in row_cells]
     lines = (f"{set_cells[set_ids[i]]}{paper_cells[i]}{tails[row_of[i]]}" for i in order)
-    return _render(fmt, payload, title, (), chain([heading], lines))
+    return _render(fmt, payload, title, (), chain([_csv_line(header)], lines))

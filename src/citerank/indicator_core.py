@@ -275,7 +275,7 @@ class PercentileAssignment:
     aggregating all sets costs time linear in the number of papers.
     """
 
-    row_values: list[float]
+    row_values: tuple[float, ...]
     tally: _Tally = field(repr=False)
     rule: PercentileRule
     scope: ReferenceScope
@@ -485,7 +485,7 @@ def compute_percentiles(
         (and ``values[i]``) is the percentile of record ``i`` of ``records``.
     """
     tally = _table_tally(CitationTable.of(records), scope)
-    row_values = [_rule_value(rule, lower, lower + tied, count, n) for count, lower, tied, n in tally.rows]
+    row_values = tuple([_rule_value(rule, lower, lower + tied, count, n) for count, lower, tied, n in tally.rows])
     return PercentileAssignment(row_values, tally, rule, scope)
 
 
