@@ -6,104 +6,17 @@ top-share excellence measures, and statistically compares what the
 different counting rules report (correlations, two-proportion z-test).
 """
 
+from . import data_pipeline, indicator_core, rank_stats, synth_bench
 from ._version import __version__
-from .data_pipeline import (
-    AnalysisConfig,
-    InputDataset,
-    RankingReport,
-    emit_paper_percentiles,
-    emit_ranking_table,
-    load_records,
-    pair_key,
-    parse_ranking_table,
-    parse_records,
-    run_analysis,
-)
-from .indicator_core import (
-    NSF6,
-    P100,
-    TOP10,
-    CitationRecord,
-    CitationTable,
-    PercentileAssignment,
-    PercentileRule,
-    RankClassScheme,
-    ReferenceScope,
-    SetReport,
-    class_histogram,
-    classify,
-    compute_percentiles,
-    i3,
-    percent_i3,
-    percentile_of,
-    top_count,
-    top_share,
-)
-from .rank_stats import (
-    CorrelationResult,
-    ZTestResult,
-    normal_cdf,
-    pearson_r,
-    spearman_rho,
-    ztest_proportions,
-)
-from .synth_bench import (
-    DivergenceResult,
-    ExperimentConfig,
-    SetSpec,
-    divergence_from_report,
-    emit_divergence,
-    fixture_path,
-    generate_set,
-    load_experiment_config,
-    override_seeds,
-    run_divergence_experiment,
-)
+from .data_pipeline import *  # noqa: F403
+from .indicator_core import *  # noqa: F403
+from .rank_stats import *  # noqa: F403
+from .synth_bench import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    "AnalysisConfig",
-    "CitationRecord",
-    "CitationTable",
-    "CorrelationResult",
-    "DivergenceResult",
-    "ExperimentConfig",
-    "InputDataset",
-    "NSF6",
-    "P100",
-    "PercentileAssignment",
-    "PercentileRule",
-    "RankClassScheme",
-    "RankingReport",
-    "ReferenceScope",
-    "SetReport",
-    "SetSpec",
-    "TOP10",
-    "ZTestResult",
-    "class_histogram",
-    "classify",
-    "compute_percentiles",
-    "divergence_from_report",
-    "emit_divergence",
-    "emit_paper_percentiles",
-    "emit_ranking_table",
-    "fixture_path",
-    "generate_set",
-    "i3",
-    "load_experiment_config",
-    "load_records",
-    "normal_cdf",
-    "override_seeds",
-    "pair_key",
-    "parse_ranking_table",
-    "parse_records",
-    "pearson_r",
-    "percent_i3",
-    "percentile_of",
-    "run_analysis",
-    "run_divergence_experiment",
-    "spearman_rho",
-    "top_count",
-    "top_share",
-    "ztest_proportions",
+    *data_pipeline.__all__,
+    *indicator_core.__all__,
+    *rank_stats.__all__,
+    *synth_bench.__all__,
 ]

@@ -58,7 +58,7 @@ FORMATS = ("delimited", "aligned", "json")
 # Rows parsed per chunk: the raw rows of one chunk are alive at a time.
 CHUNK_ROWS = 16384
 
-# A delimited cell holding one of these is quoted (see _cell).
+# A delimited cell holding one of these is quoted (see _cell and _first_cell).
 _QUOTED = re.compile(r'[,"\r\n]')
 
 # ASCII digits with an optional sign: int() alone also takes "1_000" and non-ASCII digits.
@@ -67,14 +67,13 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 @dataclass(frozen=True)
 class InputDataset:
-    """Validated citation records plus their provenance.
+    """Validated citation records.
 
     ``records`` is held as a :class:`CitationTable`; any other sequence of
     records is converted to one.
     """
 
     records: CitationTable
-    source_path: str = "<stream>"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", CitationTable.of(self.records))
@@ -202,7 +201,7 @@ def _parse_rows(reader: Iterator[list[str]], source: str) -> InputDataset:
             add_chunk(rows, first)  # a bad row before the unreadable line is reported first
             raise
         if not rows:
-            return InputDataset(CitationTable.concat(table for table, _ in chunks), source)
+            return InputDataset(CitationTable.concat(table for table, _ in chunks))
         add_chunk(rows, first)
         first += len(rows)
 
@@ -371,8 +370,13 @@ def _cell(text: str) -> str:
     return '"' + text.replace('"', '""') + '"'
 
 
-def _csv_line(cells: Iterable[str]) -> str:
-    return ",".join(map(_cell, cells)) + "\n"
+def _first_cell(text: str) -> str:
+    """A line's first cell: quoted also when it starts with ``#``, or the line would read as a comment."""
+    return '"' + text.replace('"', '""') + '"' if text.startswith("#") else _cell(text)
+
+
+def _csv_line(cells: Sequence[str]) -> str:
+    return ",".join([_first_cell(cells[0]), *map(_cell, cells[1:])]) + "\n"
 
 
 def _render(
@@ -544,8 +548,8 @@ def emit_paper_percentiles(
     if fmt == "aligned":
         rows = ((set_ids[i], paper_ids[i], *row_cells[row_of[i]]) for i in order)
         return _render(fmt, payload, title, [(None, header, rows)])
-    set_cells = {set_id: _cell(set_id) + "," for set_id in set(set_ids)}
-    # paper_ids are distinct: encode them only when one needs quoting
+    set_cells = {set_id: _first_cell(set_id) + "," for set_id in set(set_ids)}
+    # paper_ids are distinct, and never a line's first cell: encode them only when one needs quoting
     paper_cells = paper_ids if _QUOTED.search("".join(paper_ids)) is None else list(map(_cell, paper_ids))
     tails = ["," + ",".join(cells) + "\n" for cells in row_cells]
     lines = (f"{set_cells[set_ids[i]]}{paper_cells[i]}{tails[row_of[i]]}" for i in order)

@@ -19,7 +19,6 @@ from bisect import bisect_right
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from decimal import MAX_PREC, Context, Decimal
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -147,15 +146,6 @@ class RankClassScheme:
         # the exact decimal 100 - P, rounded once, so a percentile on the bound meets it
         return cls(f"top{share}", (0.0, float(100 - exact)))
 
-    @classmethod
-    def two_class(cls, threshold: float = 90.0) -> RankClassScheme:
-        """``top<P>`` for the exact decimal ``P = 100 - repr(threshold)``; ``two_class(64.1)`` is ``top35.9``."""
-        if not 0.0 < threshold < 100.0:  # NaN fails both comparisons
-            raise ValueError(f"threshold {threshold} outside (0, 100)")
-        # unlimited precision: the difference of two decimals is exact, never rounded to 28 digits
-        share = Context(prec=MAX_PREC).subtract(Decimal(100), Decimal(repr(float(threshold))))
-        return cls.from_token(f"top{share:f}")
-
 
 P100 = RankClassScheme.from_token("p100")
 NSF6 = RankClassScheme.from_token("nsf6")
@@ -262,14 +252,14 @@ class PercentileAssignment:
     ``row_values[r]`` is the percentile, in [0, 100], of every paper in its
     row ``r``: one (reference group, citation count) pair. So papers with
     equal citation counts in the same reference group always hold equal
-    percentiles. ``set_ids`` is the tally's paper_id -> set_id mapping, in
-    table order.
+    percentiles.
 
     ``values`` is the per-record column, ``values[i]`` the percentile of
     record ``i`` of the table, built on first read; the per-paper table
-    reads ``row_values`` through ``tally.row_of`` instead. ``entries``
-    (paper_id -> percentile) and ``group_keys`` (paper_id -> reference-group
-    label) are paper_id-keyed views built on first read; no percentile or
+    reads ``row_values`` through ``tally.row_of`` instead. ``set_ids``
+    (paper_id -> set_id), ``entries`` (paper_id -> percentile) and
+    ``group_keys`` (paper_id -> reference-group label) are paper_id-keyed
+    views in table order, built on first read; no percentile or
     aggregation path reads them. The first :meth:`percentiles_for_set` call
     indexes ``values`` by set in one pass; later calls are lookups, so
     aggregating all sets costs time linear in the number of papers.
@@ -280,9 +270,9 @@ class PercentileAssignment:
     rule: PercentileRule
     scope: ReferenceScope
 
-    @property
-    def set_ids(self) -> Mapping[str, str]:
-        return self.tally.set_ids
+    @cached_property
+    def set_ids(self) -> dict[str, str]:
+        return dict(zip(self.tally.paper_ids, self.tally.set_ids))
 
     @cached_property
     def values(self) -> tuple[float, ...]:
@@ -290,17 +280,17 @@ class PercentileAssignment:
 
     @cached_property
     def entries(self) -> dict[str, float]:
-        return dict(zip(self.set_ids, self.values))
+        return dict(zip(self.tally.paper_ids, self.values))
 
     @cached_property
     def group_keys(self) -> dict[str, str]:
         labels = [self.tally.names[group] for group in self.tally.groups]
-        return dict(zip(self.set_ids, map(labels.__getitem__, self.tally.row_of)))
+        return dict(zip(self.tally.paper_ids, map(labels.__getitem__, self.tally.row_of)))
 
     @cached_property
     def _values_by_set(self) -> dict[str, list[float]]:
         index: dict[str, list[float]] = defaultdict(list)
-        for set_id, value in zip(self.set_ids.values(), self.values):
+        for set_id, value in zip(self.tally.set_ids, self.values):
             index[set_id].append(value)
         return dict(index)  # a defaultdict would answer an unknown set_id with an empty list
 
@@ -416,14 +406,15 @@ class _Tally(NamedTuple):
     ``rows`` holds one (count, lower, tied, n) tuple per distinct
     (group, citation count): the count, how many group members cite less,
     how many cite exactly as much, and the group size. ``row_of`` gives
-    each record's row, in table order. ``set_ids`` maps each paper_id to
-    its set_id, in table order. ``groups`` gives each row's reference-group
-    number, and ``names`` each group's label.
+    each record's row, in table order. ``paper_ids`` and ``set_ids`` are
+    the table's own columns, not copies. ``groups`` gives each row's
+    reference-group number, and ``names`` each group's label.
     """
 
     rows: list[tuple[int, int, int, int]]
     row_of: list[int]
-    set_ids: dict[str, str]
+    paper_ids: tuple[str, ...]
+    set_ids: tuple[str, ...]
     groups: list[int]
     names: list[str]
 
@@ -432,8 +423,7 @@ def _tally(table: CitationTable, scope: ReferenceScope) -> _Tally:
     if not table:
         raise ValueError("empty input")
     paper_ids = table.paper_ids
-    set_of = dict(zip(paper_ids, table.set_ids))
-    if len(set_of) != len(paper_ids):
+    if len(dict.fromkeys(paper_ids)) != len(paper_ids):  # at peak memory: smaller than a set of the ids
         _raise_duplicate_id(paper_ids)
     groups, names = _group_numbers(table, scope)
     counts = table.citations
@@ -452,7 +442,7 @@ def _tally(table: CitationTable, scope: ReferenceScope) -> _Tally:
         rows.append((count, lower[group], tied, sizes[group]))
         row_groups.append(group)
         lower[group] += tied
-    return _Tally(rows, list(map(row_number.__getitem__, keys)), set_of, row_groups, names)
+    return _Tally(rows, list(map(row_number.__getitem__, keys)), paper_ids, table.set_ids, row_groups, names)
 
 
 def compute_percentiles(
@@ -467,7 +457,7 @@ def compute_percentiles(
     counts. The rule-independent part is one tally per scope, memoized on
     the :class:`CitationTable` (``records`` converted by
     :meth:`CitationTable.of`, which returns a table unchanged): the
-    duplicate-id check and the ``set_ids`` mapping, the group numbering,
+    duplicate-id check, the group numbering,
     every distinct (group, citation count) with its ``lower``/``tied``/``n``,
     and each record's index into those rows. A rule then costs one
     evaluation per distinct (group, count), kept as the assignment's

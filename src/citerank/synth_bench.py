@@ -202,7 +202,7 @@ def run_divergence_experiment(
     if len(rules) < 2:
         raise ValueError("need at least 2 rules")
     records = CitationTable.concat(generate_set(spec) for spec in specs)
-    dataset = InputDataset(records, source_path="<synthetic>")
+    dataset = InputDataset(records)
     config = AnalysisConfig(tuple(rules), (scheme,), scope)
     report = run_analysis(dataset, config)
     return divergence_from_report(report, scheme)

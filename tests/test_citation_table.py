@@ -197,6 +197,14 @@ def test_pipelines_tally_once_per_scope(monkeypatch):
     assert calls == [(id(dataset.records), scope)]
 
 
+def test_the_tally_holds_the_table_columns_and_no_paper_id_dict():
+    table = CitationTable.of(RECORDS)
+    for scope in (ReferenceScope.GLOBAL_POOL, ReferenceScope.PER_SET):
+        tally = compute_percentiles(table, QUANTILE, scope).tally
+        assert tally.paper_ids is table.paper_ids and tally.set_ids is table.set_ids
+        assert not any(isinstance(field, dict) for field in tally)
+
+
 def test_a_failed_tally_is_not_memoized(monkeypatch):
     calls = _count_tallies(monkeypatch)
     table = CitationTable.of(RECORDS)  # a2 has no doc_type
@@ -236,7 +244,7 @@ def test_rank_and_simulate_build_no_records(monkeypatch, capsys, tmp_path):
     assert built == ["a1"]
 
 
-def _count_paper_id_views(monkeypatch, names=("entries", "group_keys")):
+def _count_paper_id_views(monkeypatch, names=("entries", "group_keys", "set_ids")):
     built = []
     for name in names:
         view = getattr(PercentileAssignment, name)
@@ -269,7 +277,8 @@ def test_cli_paths_build_no_paper_id_keyed_dict(monkeypatch, capsys, tmp_path):
     assignment = compute_percentiles(parse_records(io.StringIO(DOC_CSV)).records, QUANTILE)
     assert assignment.group_keys is assignment.group_keys  # built on first read, then kept
     assert len(assignment.entries) == 6
-    assert built == ["group_keys", "entries"]
+    assert assignment.set_ids == {"a1": "A", "a2": "A", "a3": "A", "b1": "B", "b2": "B", "b3": "B"}
+    assert built == ["group_keys", "entries", "set_ids"]
 
 
 def test_paper_table_builds_no_per_record_values(monkeypatch, capsys, tmp_path):

@@ -413,6 +413,14 @@ def test_every_exported_name_resolves(module):
     assert [name for name in getattr(imported, "__all__", ()) if not hasattr(imported, name)] == []
 
 
+def test_package_exports_each_module_list_once():
+    modules = [importlib.import_module(f"citerank.{info.name}") for info in pkgutil.iter_modules(citerank.__path__)]
+    names = [name for module in modules for name in getattr(module, "__all__", ())]
+    assert citerank.__all__[0] == "__version__"
+    assert sorted(citerank.__all__[1:]) == sorted(names)
+    assert len(set(citerank.__all__)) == len(citerank.__all__)
+
+
 @pytest.mark.parametrize("module", [f"citerank.{info.name}" for info in pkgutil.iter_modules(citerank.__path__)])
 def test_every_imported_name_is_used(module):
     tree = ast.parse(Path(importlib.import_module(module).__file__).read_text())

@@ -315,6 +315,25 @@ def test_carriage_return_in_an_id_is_quoted_in_every_delimited_report():
     assert [row[0] for row in divergence[3:5]] == ["A", "B\rx"]
 
 
+def test_set_id_starting_with_hash_is_quoted_in_every_delimited_report():
+    dataset = _dataset("set_id,paper_id,citations\n#x,#p,3\n#x,q,1\nB,b1,5\n")
+
+    def rows(text, captions=()):
+        comments = [line for line in text.splitlines() if line.startswith("#")]
+        assert comments == ["# citerank-i3 0.1.0", *(f"# {caption}" for caption in captions)]
+        return list(csv.reader(io.StringIO(text, newline="")))
+
+    per_paper = rows(emit_paper_percentiles(dataset, (QUANTILE,)))
+    assert {len(row) for row in per_paper[1:]} == {4}
+    assert [row[:2] for row in per_paper[2:]] == [["#x", "#p"], ["#x", "q"], ["B", "b1"]]
+    report = run_analysis(dataset, AnalysisConfig((QUANTILE, PercentileRule.LB09), (P100,)))
+    ranking = emit_ranking_table(report)
+    rows(ranking)
+    assert [row["set_id"] for row in parse_ranking_table(ranking)] == ["B", "#x"]
+    divergence = emit_divergence(divergence_from_report(report, P100))
+    assert [row[0] for row in rows(divergence, ("percent_i3", "correlations", "top_ranked"))[3:5]] == ["#x", "B"]
+
+
 def test_shuffled_input_emits_identical_bytes():
     lines = TWO_SET_CSV.strip().splitlines()
     header, body = lines[0], lines[1:]
