@@ -41,6 +41,9 @@ def _cases() -> dict[str, list[str]]:
                 cases[f"rank-{name}-{scope}.{fmt}"] = [*grid, "--format", fmt]
                 cases[f"rank-{name}-{scope}-per-paper.{fmt}"] = [*grid, "--per-paper", "--format", fmt]
         for scope in ("per-doc-type", "per-set-and-doc-type"):
+            cases[f"rank-multi_doc-{scope}.{fmt}"] = [
+                "rank", "--input", MULTI_DOC, "--scope", scope, *ALL_RULES, *ALL_SCHEMES, "--format", fmt,
+            ]
             cases[f"rank-multi_doc-{scope}-per-paper.{fmt}"] = [
                 "rank", "--input", MULTI_DOC, "--scope", scope, *ALL_RULES, "--per-paper", "--format", fmt,
             ]
