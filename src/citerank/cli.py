@@ -18,6 +18,7 @@ from .data_pipeline import (
 )
 from .indicator_core import (
     P100,
+    TOP_SHARE_THRESHOLD,
     PercentileRule,
     RankClassScheme,
     ReferenceScope,
@@ -183,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     ztest.add_argument("--input", help="dataset mode: derive counts from two sets")
     ztest.add_argument("--set-a", help="first set id (dataset mode)")
     ztest.add_argument("--set-b", help="second set id (dataset mode)")
-    ztest.add_argument("--threshold", type=float, default=90.0,
+    ztest.add_argument("--threshold", type=float, default=TOP_SHARE_THRESHOLD,
                        help="success = paper at/above this percentile (dataset mode)")
     ztest.add_argument("--rule", type=rule, default=PercentileRule.QUANTILE,
                        help="counting rule for dataset mode")

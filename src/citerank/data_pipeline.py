@@ -25,12 +25,12 @@ from typing import TextIO
 from ._version import __version__
 from .indicator_core import (
     P100,
+    TOP_SHARE_THRESHOLD,
     CitationTable,
     PercentileRule,
     RankClassScheme,
     ReferenceScope,
     SetReport,
-    _check_threshold,
     _table_tally,
     compute_percentiles,
     i3,
@@ -90,14 +90,12 @@ class AnalysisConfig:
     rules: tuple[PercentileRule, ...] = (PercentileRule.QUANTILE,)
     schemes: tuple[RankClassScheme, ...] = (P100,)
     scope: ReferenceScope = ReferenceScope.GLOBAL_POOL
-    top_share_threshold: float = 90.0
 
     def __post_init__(self) -> None:
         if not self.rules:
             raise ValueError("at least one rule required")
         if not self.schemes:
             raise ValueError("at least one scheme required")
-        _check_threshold(self.top_share_threshold)
 
 
 @dataclass(frozen=True)
@@ -112,7 +110,6 @@ class RankingReport:
     rules: tuple[PercentileRule, ...]
     schemes: tuple[RankClassScheme, ...]
     scope: ReferenceScope
-    top_share_threshold: float = 90.0
 
 
 def pair_key(rule: PercentileRule, scheme: RankClassScheme) -> str:
@@ -289,7 +286,7 @@ def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport
     and :func:`top_share` for every requested (rule, scheme) pair. One
     rule's assignment is alive at a time: it is computed, aggregated under
     every scheme (and, for the first requested rule, reduced to the
-    top-share column at ``config.top_share_threshold``), then dropped.
+    top-share column at the 90th percentile), then dropped.
     Deterministic for any input ordering.
     """
     table = dataset.records
@@ -315,10 +312,7 @@ def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport
             share_cells[key] = shares
             rank_cells[key] = _competition_ranks(shares)
         if rule is config.rules[0]:
-            top_shares = {
-                set_id: top_share(assignment, set_id, config.top_share_threshold)
-                for set_id in set_order
-            }
+            top_shares = {set_id: top_share(assignment, set_id, TOP_SHARE_THRESHOLD) for set_id in set_order}
         del assignment
 
     rows = [
@@ -340,7 +334,6 @@ def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport
         rules=config.rules,
         schemes=config.schemes,
         scope=config.scope,
-        top_share_threshold=config.top_share_threshold,
     )
 
 
@@ -443,7 +436,7 @@ def emit_ranking_table(report: RankingReport, fmt: str = "delimited") -> str:
             "rules": [rule.token for rule in report.rules],
             "schemes": [scheme.label for scheme in report.schemes],
             "scope": report.scope.token,
-            "top_share_threshold": report.top_share_threshold,
+            "top_share_threshold": TOP_SHARE_THRESHOLD,
             "rows": [
                 {
                     "set_id": row.set_id,

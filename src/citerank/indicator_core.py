@@ -13,7 +13,6 @@ aggregate is independent of record ordering.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from bisect import bisect_right
 from collections import Counter, defaultdict
@@ -166,15 +165,15 @@ class CitationRecord:
             raise ValueError(f"negative citations for paper {self.paper_id!r}")
 
 
-class CitationTable(Sequence):
+class CitationTable:
     """Citation records held as four equal-length tuple columns.
 
     ``set_ids``, ``paper_ids``, ``citations`` and ``doc_types`` (``None``
-    where absent) are the fields of the records in order. The table is a
-    read-only sequence of :class:`CitationRecord`: indexing and iteration
-    build records on demand, slicing gives a table, and a table equals a
-    tuple or list holding the same records. Tallies computed from it are
-    memoized on it, one per reference scope (see :func:`compute_percentiles`).
+    where absent) are the fields of the records in order; ``len`` is the
+    number of records. The table holds no :class:`CitationRecord`: records
+    go in through :meth:`of` and are read back by column. Tallies computed
+    from it are memoized on it, one per reference scope (see
+    :func:`compute_percentiles`).
     """
 
     __slots__ = ("set_ids", "paper_ids", "citations", "doc_types", "_tallies")
@@ -211,36 +210,12 @@ class CitationTable(Sequence):
     @classmethod
     def concat(cls, tables: Iterable[CitationTable]) -> CitationTable:
         """One table holding the records of ``tables`` in order."""
-        each = [table._columns for table in tables]
-        return cls(*(chain.from_iterable([columns[field] for columns in each]) for field in range(4)))
-
-    @property
-    def _columns(self) -> tuple[tuple, tuple, tuple, tuple]:
-        return self.set_ids, self.paper_ids, self.citations, self.doc_types
+        tables = list(tables)
+        columns = ("set_ids", "paper_ids", "citations", "doc_types")
+        return cls(*(chain.from_iterable([getattr(table, column) for table in tables]) for column in columns))
 
     def __len__(self) -> int:
         return len(self.paper_ids)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return CitationTable(*(column[index] for column in self._columns))
-        return CitationRecord(*(column[index] for column in self._columns))
-
-    def __iter__(self):
-        return map(CitationRecord, *self._columns)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CitationTable):
-            return self._columns == other._columns
-        if isinstance(other, (tuple, list)):
-            return len(other) == len(self) and all(map(operator.eq, self, other))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))  # equal to the hash of the equal tuple of records
-
-    def __repr__(self) -> str:
-        return f"CitationTable({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -254,15 +229,12 @@ class PercentileAssignment:
     equal citation counts in the same reference group always hold equal
     percentiles.
 
-    ``values`` is the per-record column, ``values[i]`` the percentile of
-    record ``i`` of the table, built on first read; the per-paper table
-    reads ``row_values`` through ``tally.row_of`` instead. ``set_ids``
-    (paper_id -> set_id), ``entries`` (paper_id -> percentile) and
-    ``group_keys`` (paper_id -> reference-group label) are paper_id-keyed
-    views in table order, built on first read; no percentile or
-    aggregation path reads them. The first :meth:`percentiles_for_set` call
-    indexes ``values`` by set in one pass; later calls are lookups, so
-    aggregating all sets costs time linear in the number of papers.
+    ``entries`` (paper_id -> percentile) and ``group_keys`` (paper_id ->
+    reference-group label) are paper_id-keyed views in table order, built
+    on first read; no percentile or aggregation path reads them. The first
+    :meth:`percentiles_for_set` call indexes the papers' values by set in
+    one pass; later calls are lookups, so aggregating all sets costs time
+    linear in the number of papers.
     """
 
     row_values: tuple[float, ...]
@@ -271,16 +243,8 @@ class PercentileAssignment:
     scope: ReferenceScope
 
     @cached_property
-    def set_ids(self) -> dict[str, str]:
-        return dict(zip(self.tally.paper_ids, self.tally.set_ids))
-
-    @cached_property
-    def values(self) -> tuple[float, ...]:
-        return tuple(map(self.row_values.__getitem__, self.tally.row_of))
-
-    @cached_property
     def entries(self) -> dict[str, float]:
-        return dict(zip(self.tally.paper_ids, self.values))
+        return dict(zip(self.tally.paper_ids, map(self.row_values.__getitem__, self.tally.row_of)))
 
     @cached_property
     def group_keys(self) -> dict[str, str]:
@@ -290,7 +254,7 @@ class PercentileAssignment:
     @cached_property
     def _values_by_set(self) -> dict[str, list[float]]:
         index: dict[str, list[float]] = defaultdict(list)
-        for set_id, value in zip(self.tally.set_ids, self.values):
+        for set_id, value in zip(self.tally.set_ids, map(self.row_values.__getitem__, self.tally.row_of)):
             index[set_id].append(value)
         return dict(index)  # a defaultdict would answer an unknown set_id with an empty list
 
@@ -472,7 +436,7 @@ def compute_percentiles(
 
     Returns:
         A :class:`PercentileAssignment` whose ``row_values[tally.row_of[i]]``
-        (and ``values[i]``) is the percentile of record ``i`` of ``records``.
+        is the percentile of record ``i`` of ``records``.
     """
     tally = _table_tally(CitationTable.of(records), scope)
     row_values = tuple([_rule_value(rule, lower, lower + tied, count, n) for count, lower, tied, n in tally.rows])
@@ -538,6 +502,10 @@ def percent_i3(i3_by_set: Mapping[str, float]) -> dict[str, float]:
     return {set_id: 100.0 * value / total for set_id, value in i3_by_set.items()}
 
 
+# The percentile at or above which a paper counts toward its set's top-share.
+TOP_SHARE_THRESHOLD = 90.0
+
+
 def _check_threshold(threshold: float) -> None:
     """Raise ``ValueError`` unless a top-share threshold is a percentile in [0, 100]."""
     if not 0.0 <= threshold <= 100.0:  # NaN fails both comparisons
@@ -545,7 +513,7 @@ def _check_threshold(threshold: float) -> None:
 
 
 def top_count(
-    assignment: PercentileAssignment, set_id: str, threshold: float = 90.0
+    assignment: PercentileAssignment, set_id: str, threshold: float = TOP_SHARE_THRESHOLD
 ) -> tuple[int, int]:
     """Number of a set's papers at or above the percentile threshold, and the set's size."""
     _check_threshold(threshold)
@@ -554,7 +522,7 @@ def top_count(
 
 
 def top_share(
-    assignment: PercentileAssignment, set_id: str, threshold: float = 90.0
+    assignment: PercentileAssignment, set_id: str, threshold: float = TOP_SHARE_THRESHOLD
 ) -> float:
     """Fraction of a set's papers at or above the percentile threshold."""
     k, n = top_count(assignment, set_id, threshold)

@@ -48,9 +48,29 @@ __all__ = [
 MAX_SET_SIZE = 10_000_000
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# Every field of a set spec, which is also every key a config's set entry may hold:
+# what its value must be, and the check for it.
+_SET_KEYS = {
+    "set_id": ("a string", lambda value: isinstance(value, str)),
+    "n": ("an integer", _is_int),
+    "uncited_share": ("a number", _is_number),
+    "mu": ("a number", _is_number),
+    "sigma": ("a number", _is_number),
+    "seed": ("an integer", _is_int),
+}
+
+
 @dataclass(frozen=True)
 class SetSpec:
-    """Shape of one synthetic citation set."""
+    """Shape of one synthetic citation set; every field is checked, with a ``ValueError`` naming the set."""
 
     set_id: str
     n: int
@@ -60,10 +80,10 @@ class SetSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not _is_int(self.n):
-            raise ValueError(f"set {self.set_id!r}: n must be an integer")
-        if not _is_int(self.seed):
-            raise ValueError(f"set {self.set_id!r}: seed must be an integer")
+        for key, (kind, check) in _SET_KEYS.items():
+            value = getattr(self, key)
+            if not check(value):
+                raise ValueError(f"set {self.set_id!r}: {key} must be {kind}, got {value!r}")
         if self.n <= 0:
             raise ValueError(f"set {self.set_id!r}: n must be positive")
         if self.n > MAX_SET_SIZE:
@@ -208,25 +228,6 @@ def run_divergence_experiment(
     return divergence_from_report(report, scheme)
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: object) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-# Every key a set entry may hold: what its value must be, and the check for it.
-_SET_KEYS = {
-    "set_id": ("a string", lambda value: isinstance(value, str)),
-    "n": ("an integer", _is_int),
-    "uncited_share": ("a number", _is_number),
-    "mu": ("a number", _is_number),
-    "sigma": ("a number", _is_number),
-    "seed": ("a non-negative integer", lambda value: _is_int(value) and value >= 0),
-}
-
-
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Read a JSON experiment config: a list of set specs plus rules/scheme/scope.
 
@@ -244,6 +245,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         raise ValueError(f"experiment config {path}: 'sets' must be a non-empty list")
 
     specs = []
+    first_position: dict[str, int] = {}
     for position, entry in enumerate(raw_sets):
         if not isinstance(entry, dict):
             raise ValueError(f"experiment config {path}: set #{position} must be an object")
@@ -257,14 +259,14 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
             raise ValueError(
                 f"experiment config {path}: set #{position} missing {sorted(missing)}"
             )
-        for key, value in entry.items():
-            kind, check = _SET_KEYS[key]
-            if not check(value):
-                raise ValueError(
-                    f"experiment config {path}: set #{position} key {key!r} "
-                    f"must be {kind}, got {value!r}"
-                )
-        specs.append(SetSpec(**entry))
+        try:
+            spec = SetSpec(**entry)
+        except ValueError as exc:
+            raise ValueError(f"experiment config {path}: set #{position}: {exc}") from None
+        first = first_position.setdefault(spec.set_id, position)
+        if first != position:
+            raise ValueError(f"experiment config {path}: set_id {spec.set_id!r} at sets #{first} and #{position}")
+        specs.append(spec)
 
     rule_tokens = payload.get("rules", [rule.token for rule in PercentileRule])
     if (

@@ -13,6 +13,12 @@ GROUP_OF_SCOPE = {
 }
 
 
+def table_rows(table, as_records=False):
+    """A table's rows in order: (set_id, paper_id, citations, doc_type) tuples, or CitationRecords."""
+    rows = zip(table.set_ids, table.paper_ids, table.citations, table.doc_types)
+    return [CitationRecord(*row) for row in rows] if as_records else list(rows)
+
+
 def make_records(counts, set_id="A", prefix=None, doc_type=None):
     """Build one set's records from a list of citation counts."""
     prefix = prefix if prefix is not None else set_id.lower()

@@ -350,7 +350,7 @@ def test_simulate_malformed_config_is_one_line_error(capsys, tmp_path):
     path.write_text(json.dumps({"sets": [{"set_id": "A", "n": "100", "uncited_share": 0.2}]}))
     code, out, err = run_cli(capsys, "simulate", "--config", str(path))
     assert code == 1 and out == ""
-    assert err.count("\n") == 1 and "set #0 key 'n'" in err
+    assert err == f"error: experiment config {path}: set #0: set 'A': n must be an integer, got '100'\n"
 
 
 @pytest.mark.parametrize(
@@ -364,6 +364,8 @@ def test_simulate_malformed_config_is_one_line_error(capsys, tmp_path):
         ({}, {"scheme": 5}, "key 'scheme' must be a string, got 5"),
         ({}, {"rules": "quantile"}, "key 'rules' must be a list of distinct strings, got 'quantile'"),
         ({}, {"rules": ["quantile", "quantile"]}, "key 'rules' must be a list of distinct strings"),
+        ({"n": 0}, {}, "exp.json: set #0: set 'A': n must be positive"),
+        ({"set_id": "B"}, {}, "exp.json: set_id 'B' at sets #0 and #1"),
     ],
 )
 def test_simulate_bad_parameters_are_one_line_errors(capsys, tmp_path, entry, extra, message):

@@ -39,7 +39,7 @@ from citerank import (
     top_share,
 )
 from citerank import data_pipeline
-from conftest import GROUP_OF_SCOPE
+from conftest import GROUP_OF_SCOPE, table_rows
 from exact_oracle import oracle_entries
 
 QUANTILE = PercentileRule.QUANTILE
@@ -67,16 +67,14 @@ def _dataset(text: str) -> InputDataset:
 def test_parse_two_records():
     dataset = _dataset("set_id,paper_id,citations\nJ1,p1,5\nJ1,p2,0\n")
     assert dataset.row_count == 2
-    assert dataset.records[0] == CitationRecord("J1", "p1", 5)
-    assert dataset.records[1] == CitationRecord("J1", "p2", 0)
+    assert table_rows(dataset.records) == [("J1", "p1", 5, None), ("J1", "p2", 0, None)]
 
 
 def test_parse_trims_and_handles_doc_type():
     dataset = _dataset(
         "set_id, paper_id ,citations,doc_type\n J1 , p1 , 5 , article \nJ1,p2,0,\n"
     )
-    assert dataset.records[0] == CitationRecord("J1", "p1", 5, "article")
-    assert dataset.records[1].doc_type is None
+    assert table_rows(dataset.records) == [("J1", "p1", 5, "article"), ("J1", "p2", 0, None)]
 
 
 def test_parse_tolerates_extra_columns_and_blank_lines():
@@ -107,13 +105,13 @@ def test_parse_rejects_citations_other_than_ascii_digits(cell):
 
 def test_parse_accepts_signed_ascii_digits():
     dataset = _dataset("set_id,paper_id,citations\nJ1,p1,+5\nJ1,p2,007\n")
-    assert [record.citations for record in dataset.records] == [5, 7]
+    assert dataset.records.citations == (5, 7)
 
 
 def test_parse_ignores_utf8_byte_order_mark(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes("set_id,paper_id,citations\nJ1,p1,5\n".encode("utf-8-sig"))
-    assert load_records(path).records == (CitationRecord("J1", "p1", 5),)
+    assert table_rows(load_records(path).records) == [("J1", "p1", 5, None)]
 
 
 def test_load_records_names_an_input_that_is_not_utf8(tmp_path):
@@ -138,8 +136,8 @@ def test_parse_empty_stream():
 def test_parse_reviews_fixture():
     dataset = load_records(fixture_path("reviews10.csv"))
     assert dataset.row_count == 10
-    assert sorted(record.citations for record in dataset.records) == list(range(10))
-    assert {record.set_id for record in dataset.records} == {"reviews"}
+    assert sorted(dataset.records.citations) == list(range(10))
+    assert set(dataset.records.set_ids) == {"reviews"}
 
 
 # --- run_analysis -------------------------------------------------------------
@@ -172,13 +170,11 @@ def test_pooled_fixture_matches_oracle():
     report = run_analysis(dataset, AnalysisConfig((QUANTILE,), (P100,)))
     # same 10 counts pooled into a single reference set, scored by the
     # pairwise-comparison oracle
-    pooled = [
-        CitationRecord("pool", record.paper_id, record.citations)
-        for record in dataset.records
-    ]
+    records = table_rows(dataset.records, as_records=True)
+    pooled = [CitationRecord("pool", record.paper_id, record.citations) for record in records]
     oracle = oracle_entries(pooled, QUANTILE)
     by_set: dict[str, list[float]] = {"A": [], "B": []}
-    for record in dataset.records:
+    for record in records:
         by_set[record.set_id].append(oracle[record.paper_id])
     import math
 
@@ -577,17 +573,17 @@ def test_parse_records_fuzz_loads_or_raises_value_error(text, newline):
         dataset = parse_records(io.StringIO(text, newline=newline))
     except ValueError:
         return
-    assert all(record.citations >= 0 and record.paper_id for record in dataset.records)
+    assert all(count >= 0 and paper_id for _, paper_id, count, _ in table_rows(dataset.records))
 
 
 # --- chunked parse: errors name the same row whatever the chunk size ---------------
 
 def _outcome(text: str, newline, chunk_rows: int):
-    """The parsed table, or the error message, with ``CHUNK_ROWS`` set to ``chunk_rows``."""
+    """The parsed table's rows, or the error message, with ``CHUNK_ROWS`` set to ``chunk_rows``."""
     saved = data_pipeline.CHUNK_ROWS
     data_pipeline.CHUNK_ROWS = chunk_rows
     try:
-        return parse_records(io.StringIO(text, newline=newline)).records
+        return table_rows(parse_records(io.StringIO(text, newline=newline)).records)
     except ValueError as exc:
         return str(exc)
     finally:
@@ -624,12 +620,12 @@ def test_parse_errors_name_rows_across_chunks(monkeypatch, body, message):
 def test_parse_chunks_join_in_row_order(monkeypatch):
     monkeypatch.setattr(data_pipeline, "CHUNK_ROWS", 2)
     dataset = _dataset("set_id,paper_id,citations,doc_type\nA,p1,1,x\n\nB,p2,2\nA,p3,3, y \nC,p4,0,\n")
-    assert dataset.records == (
-        CitationRecord("A", "p1", 1, "x"),
-        CitationRecord("B", "p2", 2),
-        CitationRecord("A", "p3", 3, "y"),
-        CitationRecord("C", "p4", 0),
-    )
+    assert table_rows(dataset.records) == [
+        ("A", "p1", 1, "x"),
+        ("B", "p2", 2, None),
+        ("A", "p3", 3, "y"),
+        ("C", "p4", 0, None),
+    ]
 
 
 @given(cell=st.text(alphabet=st.sampled_from("0123456789+-_ .ex\t\x1c\xa0٣５"), max_size=8))

@@ -521,11 +521,7 @@ def test_compute_percentiles_and_set_index_match_brute_force(rows):
                 expected = percentile_of(record.citations, groups[group_key(record)], rule)
                 assert assignment.entries[record.paper_id] == expected
             for set_id in set_ids:
-                brute = [
-                    value
-                    for paper_id, value in assignment.entries.items()
-                    if assignment.set_ids[paper_id] == set_id
-                ]
+                brute = [assignment.entries[record.paper_id] for record in records if record.set_id == set_id]
                 assert sorted(assignment.percentiles_for_set(set_id)) == sorted(brute)
             with pytest.raises(ValueError, match="unknown set_id"):
                 assignment.percentiles_for_set("missing")

@@ -21,6 +21,7 @@ from citerank import (
     run_divergence_experiment,
 )
 from citerank.synth_bench import MAX_SET_SIZE, emit_divergence
+from conftest import table_rows
 
 QUANTILE = PercentileRule.QUANTILE
 LB09 = PercentileRule.LB09
@@ -30,40 +31,37 @@ RAW = PercentileRule.ROUSSEAU_RAW
 # --- generate_set -------------------------------------------------------------
 
 def test_all_uncited():
-    records = generate_set(SetSpec("Z", n=10, uncited_share=1.0, seed=1))
-    assert len(records) == 10
-    assert all(record.citations == 0 for record in records)
+    table = generate_set(SetSpec("Z", n=10, uncited_share=1.0, seed=1))
+    assert len(table) == 10
+    assert table.citations == (0,) * 10
 
 
 def test_seeded_determinism():
     spec = SetSpec("S", n=200, uncited_share=0.4, mu=1.3, sigma=1.1, seed=99)
-    assert generate_set(spec) == generate_set(spec)
+    assert table_rows(generate_set(spec)) == table_rows(generate_set(spec))
 
 
 def test_different_seeds_differ():
     a = generate_set(SetSpec("S", n=200, uncited_share=0.0, seed=1))
     b = generate_set(SetSpec("S", n=200, uncited_share=0.0, seed=2))
-    assert [r.citations for r in a] != [r.citations for r in b]
+    assert a.citations != b.citations
 
 
 def test_zero_block_and_cited_floor():
-    records = generate_set(SetSpec("S", n=1000, uncited_share=0.3, mu=1.0, sigma=1.0, seed=42))
-    zeros = [record for record in records if record.citations == 0]
-    cited = [record for record in records if record.citations > 0]
-    assert len(zeros) == 300
-    assert len(cited) == 700
-    assert all(record.citations >= 1 for record in cited)
+    table = generate_set(SetSpec("S", n=1000, uncited_share=0.3, mu=1.0, sigma=1.0, seed=42))
+    assert table.citations.count(0) == 300
+    assert sum(1 for count in table.citations if count >= 1) == 700
 
 
 def test_sigma_zero_is_constant():
-    records = generate_set(SetSpec("S", n=50, uncited_share=0.0, mu=2.0, sigma=0.0, seed=5))
+    table = generate_set(SetSpec("S", n=50, uncited_share=0.0, mu=2.0, sigma=0.0, seed=5))
     expected = math.floor(math.exp(2.0))
-    assert {record.citations for record in records} == {expected}
+    assert set(table.citations) == {expected}
 
 
 def test_unique_paper_ids():
-    records = generate_set(SetSpec("S", n=500, uncited_share=0.5, seed=3))
-    assert len({record.paper_id for record in records}) == 500
+    table = generate_set(SetSpec("S", n=500, uncited_share=0.5, seed=3))
+    assert len(set(table.paper_ids)) == 500
 
 
 @pytest.mark.parametrize(
@@ -102,8 +100,23 @@ def test_spec_rejects_non_finite_parameters_and_huge_sets(kwargs, match):
 @pytest.mark.parametrize("value", [1.5, 5.0, True])
 def test_spec_rejects_non_integer_size_and_seed(field, value):
     # generate_set would fail later with numpy's TypeError, which the CLI does not catch
-    with pytest.raises(ValueError, match=rf"^set 'S': {field} must be an integer$"):
+    with pytest.raises(ValueError, match=rf"^set 'S': {field} must be an integer, got {value!r}$"):
         SetSpec("S", **{"n": 5, "uncited_share": 0.5, field: value})
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        (dict(set_id=7), "set 7: set_id must be a string, got 7"),
+        (dict(uncited_share="0.5"), "set 'S': uncited_share must be a number, got '0.5'"),
+        (dict(mu=None), "set 'S': mu must be a number, got None"),
+        (dict(sigma=[1]), "set 'S': sigma must be a number, got [1]"),
+    ],
+)
+def test_spec_rejects_values_of_the_wrong_type(kwargs, message):
+    # these used to escape as a TypeError from a comparison
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SetSpec(**{"set_id": "S", "n": 5, "uncited_share": 0.5, **kwargs})
 
 
 @pytest.mark.parametrize("mu,sigma", [(800.0, 1.0), (44.0, 0.0), (1.0, 1e300)])
@@ -114,8 +127,8 @@ def test_generate_set_rejects_draws_beyond_int64(mu, sigma):
 
 
 def test_generate_set_largest_finite_draws_stay_counts():
-    records = generate_set(SetSpec("S", n=20, uncited_share=0.0, mu=43.0, sigma=0.0))
-    assert {record.citations for record in records} == {math.floor(math.exp(43.0))}
+    table = generate_set(SetSpec("S", n=20, uncited_share=0.0, mu=43.0, sigma=0.0))
+    assert set(table.citations) == {math.floor(math.exp(43.0))}
 
 
 # --- divergence experiment ------------------------------------------------------
@@ -224,21 +237,42 @@ def test_config_that_is_not_json_names_the_file(tmp_path, content, message):
     "entry,match",
     [
         ("A", "set #0 must be an object"),
-        ({"set_id": "A", "n": "100", "uncited_share": 0.5}, "set #0 key 'n' must be an integer"),
-        ({"set_id": "A", "n": 10.5, "uncited_share": 0.5}, "set #0 key 'n' must be an integer"),
-        ({"set_id": "A", "n": True, "uncited_share": 0.5}, "set #0 key 'n' must be an integer"),
-        ({"set_id": "A", "n": 10, "uncited_share": "0.5"}, "set #0 key 'uncited_share'"),
-        ({"set_id": "A", "n": 10, "uncited_share": 0.5, "mu": None}, "set #0 key 'mu'"),
-        ({"set_id": "A", "n": 10, "uncited_share": 0.5, "sigma": [1]}, "set #0 key 'sigma'"),
-        ({"set_id": "A", "n": 10, "uncited_share": 0.5, "seed": 1.5}, "set #0 key 'seed'"),
-        ({"set_id": "A", "n": 10, "uncited_share": 0.5, "seed": -1}, "set #0 key 'seed'"),
-        ({"set_id": 7, "n": 10, "uncited_share": 0.5}, "set #0 key 'set_id'"),
+        ({"set_id": "A", "n": "100", "uncited_share": 0.5}, "set #0: set 'A': n must be an integer, got '100'"),
+        ({"set_id": "A", "n": 10.5, "uncited_share": 0.5}, "set #0: set 'A': n must be an integer, got 10.5"),
+        ({"set_id": "A", "n": True, "uncited_share": 0.5}, "set #0: set 'A': n must be an integer, got True"),
+        ({"set_id": "A", "n": 10, "uncited_share": "0.5"},
+         "set #0: set 'A': uncited_share must be a number, got '0.5'"),
+        ({"set_id": "A", "n": 10, "uncited_share": 0.5, "mu": None},
+         "set #0: set 'A': mu must be a number, got None"),
+        ({"set_id": "A", "n": 10, "uncited_share": 0.5, "sigma": [1]},
+         "set #0: set 'A': sigma must be a number, got [1]"),
+        ({"set_id": "A", "n": 10, "uncited_share": 0.5, "seed": 1.5},
+         "set #0: set 'A': seed must be an integer, got 1.5"),
+        ({"set_id": "A", "n": 10, "uncited_share": 0.5, "seed": -1}, "set #0: set 'A': seed must be non-negative"),
+        ({"set_id": 7, "n": 10, "uncited_share": 0.5}, "set #0: set 7: set_id must be a string, got 7"),
     ],
 )
 def test_config_rejects_malformed_set_entries(tmp_path, entry, match):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"sets": [entry]}))
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'experiment config {bad}: {match}')}$"):
+        load_experiment_config(bad)
+
+
+@pytest.mark.parametrize(
+    "entry,message",
+    [
+        ({"n": 0}, "set #1: set 'B': n must be positive"),
+        ({"uncited_share": 1.5}, "set #1: set 'B': uncited_share outside [0, 1]"),
+        ({"set_id": "A"}, "set_id 'A' at sets #0 and #1"),
+    ],
+)
+def test_config_entry_errors_name_the_file_and_the_position(tmp_path, entry, message):
+    bad = tmp_path / "bad.json"
+    sets = [{"set_id": "A", "n": 10, "uncited_share": 0.5}, {"set_id": "B", "n": 10, "uncited_share": 0.5, **entry},
+            {"set_id": "C", "n": 10, "uncited_share": 0.5}]
+    bad.write_text(json.dumps({"sets": sets}))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'experiment config {bad}: {message}')}$"):
         load_experiment_config(bad)
 
 
@@ -297,9 +331,9 @@ def test_load_experiment_config_fuzz_loads_or_raises_value_error(tmp_path_factor
 
 @pytest.mark.parametrize("share,n,zeros", [(0.043, 10000, 430), (0.29, 100, 29)])
 def test_uncited_block_is_exact_decimal_floor(share, n, zeros):
-    records = generate_set(SetSpec("S", n=n, uncited_share=share, seed=1))
-    assert all(record.citations == 0 for record in records[:zeros])
-    assert all(record.citations > 0 for record in records[zeros:])
+    table = generate_set(SetSpec("S", n=n, uncited_share=share, seed=1))
+    assert all(count == 0 for count in table.citations[:zeros])
+    assert all(count > 0 for count in table.citations[zeros:])
 
 
 def test_override_seeds():
