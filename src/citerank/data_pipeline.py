@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from ._version import __version__
 from .indicator_core import (
@@ -98,8 +98,7 @@ class AnalysisConfig:
             raise ValueError("at least one scheme required")
 
 
-@dataclass(frozen=True)
-class RankingReport:
+class RankingReport(NamedTuple):
     """Ordered set-level report rows for a rule/scheme grid.
 
     Rows are sorted by descending %I3 of the primary column (first rule,
@@ -317,24 +316,17 @@ def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport
 
     rows = [
         SetReport(
-            set_id=set_id,
-            n_papers=n_papers[set_id],
-            total_citations=total_citations[set_id],
-            i3={key: cells[set_id] for key, cells in i3_cells.items()},
-            percent_i3={key: cells[set_id] for key, cells in share_cells.items()},
-            rank={key: cells[set_id] for key, cells in rank_cells.items()},
-            top_share=top_shares[set_id],
+            set_id, n_papers[set_id], total_citations[set_id],
+            {key: cells[set_id] for key, cells in i3_cells.items()},
+            {key: cells[set_id] for key, cells in share_cells.items()},
+            {key: cells[set_id] for key, cells in rank_cells.items()},
+            top_shares[set_id],
         )
         for set_id in set_order
     ]
     primary = pair_key(config.rules[0], config.schemes[0])
     rows.sort(key=lambda row: (-row.percent_i3[primary], row.set_id))
-    return RankingReport(
-        rows=tuple(rows),
-        rules=config.rules,
-        schemes=config.schemes,
-        scope=config.scope,
-    )
+    return RankingReport(tuple(rows), config.rules, config.schemes, config.scope)
 
 
 def _check_format(fmt: str) -> None:
@@ -437,18 +429,7 @@ def emit_ranking_table(report: RankingReport, fmt: str = "delimited") -> str:
             "schemes": [scheme.label for scheme in report.schemes],
             "scope": report.scope.token,
             "top_share_threshold": TOP_SHARE_THRESHOLD,
-            "rows": [
-                {
-                    "set_id": row.set_id,
-                    "n_papers": row.n_papers,
-                    "total_citations": row.total_citations,
-                    "i3": dict(row.i3),
-                    "percent_i3": dict(row.percent_i3),
-                    "rank": dict(row.rank),
-                    "top_share": row.top_share,
-                }
-                for row in report.rows
-            ],
+            "rows": [row._asdict() for row in report.rows],
         }
 
     title = f"ranking report (scope: {report.scope.token})"

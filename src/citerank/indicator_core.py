@@ -19,7 +19,6 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
@@ -137,13 +136,13 @@ class RankClassScheme:
         match = _TOP_TOKEN.fullmatch(token)
         if match is None:
             raise ValueError(f"unknown scheme {token!r} (expected p100, nsf6, or top<P>)")
-        whole, decimals = match.groups()
-        share = whole if decimals is None else f"{whole}.{decimals}"
-        exact = Fraction(share)
-        if not 0 < exact < 100:
+        whole, decimals = match.groups(default="")
+        share = f"{whole}.{decimals}" if decimals else whole
+        scale, share_scaled = 10 ** len(decimals), int(whole + decimals)
+        if not 0 < share_scaled < 100 * scale:
             raise ValueError(f"scheme {token!r}: top share {share} outside (0, 100)")
-        # the exact decimal 100 - P, rounded once, so a percentile on the bound meets it
-        return cls(f"top{share}", (0.0, float(100 - exact)))
+        # the exact decimal 100 - P, one correctly rounded division, so a percentile on the bound meets it
+        return cls(f"top{share}", (0.0, (100 * scale - share_scaled) / scale))
 
 
 P100 = RankClassScheme.from_token("p100")
@@ -269,14 +268,14 @@ class PercentileAssignment:
             raise ValueError(f"unknown set_id {set_id!r}") from None
 
 
-@dataclass(frozen=True)
-class SetReport:
+class SetReport(NamedTuple):
     """Per-set aggregates for one ranking-report row.
 
     The mapping fields are keyed by ``<rule>_<scheme>`` labels naming the
     counting rule and rank-class scheme that produced each value;
     ``rank`` holds the competition rank of the set under each column's
-    descending %I3 ordering (ties share the smaller rank).
+    descending %I3 ordering (ties share the smaller rank). The fields, in
+    order, are the keys of a row of the JSON ranking report.
     """
 
     set_id: str

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "CorrelationResult",
@@ -18,14 +18,12 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     coefficient: float
     n: int
 
 
-@dataclass(frozen=True)
-class ZTestResult:
+class ZTestResult(NamedTuple):
     z: float
     p_two_sided: float
     pooled_proportion: float

@@ -13,10 +13,10 @@ import json
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 from pathlib import Path
+from typing import NamedTuple
 
 from ._version import __version__
 from .data_pipeline import AnalysisConfig, InputDataset, RankingReport, pair_key, run_analysis
@@ -84,6 +84,8 @@ class SetSpec:
             value = getattr(self, key)
             if not check(value):
                 raise ValueError(f"set {self.set_id!r}: {key} must be {kind}, got {value!r}")
+        if not self.set_id.strip():
+            raise ValueError(f"set {self.set_id!r}: set_id must not be blank")
         if self.n <= 0:
             raise ValueError(f"set {self.set_id!r}: n must be positive")
         if self.n > MAX_SET_SIZE:
@@ -98,16 +100,14 @@ class SetSpec:
             raise ValueError(f"set {self.set_id!r}: seed must be non-negative")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     sets: tuple[SetSpec, ...]
     rules: tuple[PercentileRule, ...]
     scheme: RankClassScheme
     scope: ReferenceScope
 
 
-@dataclass(frozen=True)
-class DivergenceResult:
+class DivergenceResult(NamedTuple):
     """Pairwise rule agreement over a shared dataset.
 
     ``percent_i3`` maps each rule token to its per-set %I3 vector aligned
@@ -125,15 +125,7 @@ class DivergenceResult:
     top_set: Mapping[str, str]
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "version": __version__,
-            "rules": [rule.token for rule in self.rules],
-            "set_order": list(self.set_order),
-            "percent_i3": {token: list(values) for token, values in self.percent_i3.items()},
-            "pearson": [list(row) for row in self.pearson],
-            "spearman": [list(row) for row in self.spearman],
-            "top_set": dict(self.top_set),
-        }
+        return {"version": __version__, **self._asdict(), "rules": [rule.token for rule in self.rules]}
 
 
 def generate_set(spec: SetSpec) -> CitationTable:
@@ -146,7 +138,9 @@ def generate_set(spec: SetSpec) -> CitationTable:
     Raises ``ValueError`` naming the set when a draw is not finite or is
     at least ``2**63``, so it cannot be stored as a citation count.
     """
-    # numpy is imported here so that commands which generate nothing never load it.
+    # numpy and fractions are imported here so that commands which generate nothing never load them.
+    from fractions import Fraction
+
     import numpy as np
 
     n_zero = math.floor(Fraction(repr(float(spec.uncited_share))) * spec.n)
@@ -179,6 +173,9 @@ def divergence_from_report(report: RankingReport, scheme: RankClassScheme) -> Di
         )
         for rule in report.rules
     }
+    for token, vector in vectors.items():
+        if len(vector) > 1 and len(set(vector)) == 1:
+            raise ValueError(f"every set has the same %I3 under {token}, so no correlation is defined")
 
     k = len(report.rules)
     pearson = [[1.0] * k for _ in range(k)]
@@ -190,20 +187,12 @@ def divergence_from_report(report: RankingReport, scheme: RankClassScheme) -> Di
             pearson[i][j] = pearson[j][i] = pearson_r(x, y).coefficient
             spearman[i][j] = spearman[j][i] = spearman_rho(x, y).coefficient
 
-    top_set = {}
-    for rule in report.rules:
-        key = pair_key(rule, scheme)
-        top_set[rule.token] = min(
-            (row.set_id for row in report.rows if row.rank[key] == 1),
-        )
-    return DivergenceResult(
-        rules=report.rules,
-        set_order=set_order,
-        percent_i3=vectors,
-        pearson=tuple(tuple(row) for row in pearson),
-        spearman=tuple(tuple(row) for row in spearman),
-        top_set=top_set,
-    )
+    top_set = {
+        rule.token: min(row.set_id for row in report.rows if row.rank[pair_key(rule, scheme)] == 1)
+        for rule in report.rules
+    }
+    pearson, spearman = (tuple(map(tuple, matrix)) for matrix in (pearson, spearman))
+    return DivergenceResult(report.rules, set_order, vectors, pearson, spearman, top_set)
 
 
 def run_divergence_experiment(
@@ -221,11 +210,21 @@ def run_divergence_experiment(
         raise ValueError("need at least 2 sets")
     if len(rules) < 2:
         raise ValueError("need at least 2 rules")
+    _check_distinct_set_ids(specs)
     records = CitationTable.concat(generate_set(spec) for spec in specs)
     dataset = InputDataset(records)
     config = AnalysisConfig(tuple(rules), (scheme,), scope)
     report = run_analysis(dataset, config)
     return divergence_from_report(report, scheme)
+
+
+def _check_distinct_set_ids(specs: Sequence[SetSpec]) -> None:
+    """Raise ``ValueError`` naming the first set_id that two specs share, and both positions."""
+    first_position: dict[str, int] = {}
+    for position, spec in enumerate(specs):
+        first = first_position.setdefault(spec.set_id, position)
+        if first != position:
+            raise ValueError(f"set_id {spec.set_id!r} at sets #{first} and #{position}")
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -245,7 +244,6 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         raise ValueError(f"experiment config {path}: 'sets' must be a non-empty list")
 
     specs = []
-    first_position: dict[str, int] = {}
     for position, entry in enumerate(raw_sets):
         if not isinstance(entry, dict):
             raise ValueError(f"experiment config {path}: set #{position} must be an object")
@@ -263,10 +261,11 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
             spec = SetSpec(**entry)
         except ValueError as exc:
             raise ValueError(f"experiment config {path}: set #{position}: {exc}") from None
-        first = first_position.setdefault(spec.set_id, position)
-        if first != position:
-            raise ValueError(f"experiment config {path}: set_id {spec.set_id!r} at sets #{first} and #{position}")
         specs.append(spec)
+    try:
+        _check_distinct_set_ids(specs)
+    except ValueError as exc:
+        raise ValueError(f"experiment config {path}: {exc}") from None
 
     rule_tokens = payload.get("rules", [rule.token for rule in PercentileRule])
     if (
@@ -294,7 +293,7 @@ def override_seeds(config: ExperimentConfig, base_seed: int) -> ExperimentConfig
     sets = tuple(
         replace(spec, seed=base_seed + position) for position, spec in enumerate(config.sets)
     )
-    return replace(config, sets=sets)
+    return config._replace(sets=sets)
 
 
 def emit_divergence(result: DivergenceResult, fmt: str = "delimited") -> str:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import dataclasses
 import importlib
 import json
 import os
@@ -177,6 +178,17 @@ def test_compare_rules_two_sets_warns_but_succeeds(capsys, tmp_path):
     assert code == 0
     assert "degenerate" in err
     assert "pearson," in out
+
+
+def test_compare_rules_on_sets_with_equal_percent_i3_is_one_line_error(capsys, tmp_path):
+    # pearson_r used to stop it with a bare "zero variance"
+    path = tmp_path / "equal.csv"
+    path.write_text("set_id,paper_id,citations\nA,a1,1\nA,a2,3\nB,b1,1\nB,b2,3\nC,c1,1\nC,c2,3\n")
+    code, out, err = run_cli(
+        capsys, "compare-rules", "--input", str(path), "--rule", "quantile", "--rule", "lb09"
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: every set has the same %I3 under quantile, so no correlation is defined\n"
 
 
 def _delimited_sections(text):
@@ -382,6 +394,16 @@ def test_simulate_bad_parameters_are_one_line_errors(capsys, tmp_path, entry, ex
     assert err.count("\n") == 1 and message in err
 
 
+def test_simulate_identical_specs_is_one_line_error(capsys, tmp_path):
+    # two sets drawn from one spec and one seed have equal %I3 under every rule
+    path = tmp_path / "exp.json"
+    spec = {"n": 10, "uncited_share": 0.5}
+    path.write_text(json.dumps({"sets": [{"set_id": "A", **spec}, {"set_id": "B", **spec}]}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: every set has the same %I3 under quantile, so no correlation is defined\n"
+
+
 def test_simulate_negative_seed_is_one_line_error(capsys):
     code, out, err = run_cli(capsys, "simulate", "--config", "divergence_high_uncited", "--seed", "-3")
     assert (code, out) == (1, "")
@@ -396,15 +418,31 @@ def test_rank_input_that_is_not_utf8_is_one_line_error(capsys, tmp_path):
     assert err == f"error: {path} is not UTF-8 text: invalid continuation byte\n"
 
 
-def test_cli_import_does_not_load_numpy():
-    # numpy is only needed to generate sets; every other command should start without it
+def test_cli_import_loads_neither_numpy_nor_fractions():
+    # numpy and fractions (which loads decimal) are only needed to generate sets;
+    # every other command should start without them
     src = str(Path(citerank.__file__).parent.parent)
-    probe = "import sys, citerank.cli; print('numpy' in sys.modules)"
+    probe = "import sys, citerank.cli; print([m for m in ('numpy', 'fractions', 'decimal') if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
+
+
+def test_result_types_are_tuples_whose_fields_are_the_json_layout(capsys, multi_csv):
+    results = (citerank.SetReport, citerank.RankingReport, citerank.CorrelationResult,
+               citerank.ZTestResult, citerank.ExperimentConfig, citerank.DivergenceResult)
+    assert all(issubclass(kind, tuple) for kind in results)
+    validating = (citerank.CitationRecord, citerank.InputDataset, citerank.AnalysisConfig,
+                  citerank.SetSpec, citerank.PercentileAssignment, citerank.RankClassScheme)
+    assert all(dataclasses.is_dataclass(kind) for kind in validating)
+    _, out, _ = run_cli(capsys, "rank", "--input", multi_csv, "--format", "json")
+    assert [tuple(row) for row in json.loads(out)["rows"]] == [citerank.SetReport._fields] * 4
+    _, out, _ = run_cli(
+        capsys, "compare-rules", "--input", multi_csv, "--rule", "quantile", "--rule", "lb09", "--format", "json"
+    )
+    assert tuple(json.loads(out)) == ("version", *citerank.DivergenceResult._fields)
 
 
 @pytest.mark.parametrize(

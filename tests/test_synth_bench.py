@@ -70,11 +70,13 @@ def test_unique_paper_ids():
         (dict(n=0, uncited_share=0.5), "n must be positive"),
         (dict(n=5, uncited_share=1.5), "uncited_share"),
         (dict(n=5, uncited_share=0.5, sigma=-1.0), "sigma"),
+        (dict(set_id="", n=5, uncited_share=0.5), r"^set '': set_id must not be blank$"),
+        (dict(set_id=" \t", n=5, uncited_share=0.5), r"^set ' \\t': set_id must not be blank$"),
     ],
 )
 def test_spec_validation(kwargs, match):
     with pytest.raises(ValueError, match=match):
-        SetSpec("S", **kwargs)
+        SetSpec(**{"set_id": "S", **kwargs})
 
 
 @pytest.mark.parametrize(
@@ -175,6 +177,12 @@ def test_experiment_preconditions():
         run_divergence_experiment(SPECS[:1], [QUANTILE, LB09])
     with pytest.raises(ValueError, match="at least 2 rules"):
         run_divergence_experiment(SPECS, [QUANTILE])
+
+
+def test_experiment_names_a_repeated_set_id():
+    # it used to fail while ranking, with "duplicate paper_id 'A-00000'"
+    with pytest.raises(ValueError, match=r"^set_id 'A' at sets #0 and #1$"):
+        run_divergence_experiment([SetSpec("A", 10, 0.5)] * 2, [QUANTILE, LB09])
 
 
 def test_per_set_scope_supported():
