@@ -129,8 +129,10 @@ def parse_records(stream: TextIO, source: str = "<stream>") -> InputDataset:
     module could not read, or ``source`` when its bytes are not UTF-8.
 
     Rows are read in chunks of :data:`CHUNK_ROWS`, and each chunk's
-    columns are checked in bulk; only when a check fails are the chunk's
-    rows scanned one by one for the first offending row. Cyclic garbage
+    columns are checked in bulk. The chunk's table finds a paper_id
+    repeated within it, the joined table one repeated across chunks, so
+    the parse keeps no set of ids. Only when a check fails are the rows
+    scanned one by one for the first offending row. Cyclic garbage
     collection is paused meanwhile and left as the caller had it. The pause
     is process-wide: other threads run without cyclic collection until the
     parse ends, and if one of them disables collection during the parse,
@@ -167,45 +169,38 @@ def _parse_rows(reader: Iterator[list[str]], source: str) -> InputDataset:
     index = {name: columns.index(name) for name in columns}
     width = max(index[name] for name in REQUIRED_COLUMNS) + 1
 
-    seen: set[str] = set()
     # each chunk's table, and the row number of each of its records
     chunks: list[tuple[CitationTable, Sequence[int]]] = []
-
-    def add_chunk(rows: list[list[str]], first: int) -> None:
-        body = [row for row in rows if row]
-        table = _column_table(body, index, width)
-        if table is not None:
-            known = len(seen)
-            seen.update(table.paper_ids)
-            if len(seen) == known + len(table):
-                numbers = range(first, first + len(rows))
-                if len(body) < len(rows):
-                    numbers = [number for number, row in zip(numbers, rows) if row]
-                chunks.append((table, numbers))
-                return
-        first_row_of = {
-            paper_id: number for table, numbers in chunks for paper_id, number in zip(table.paper_ids, numbers)
-        }
-        _raise_first_bad_row(rows, first, index, width, first_row_of)
-
     first = 2
     while True:
         rows: list[list[str]] = []
         try:
             rows.extend(islice(reader, CHUNK_ROWS))
         except csv.Error:
-            add_chunk(rows, first)  # a bad row before the unreadable line is reported first
+            _raise_first_bad_row(chunks, rows, first, index, width)  # a bad row before the unreadable line wins
             raise
         if not rows:
-            return InputDataset(CitationTable.concat(table for table, _ in chunks))
-        add_chunk(rows, first)
+            break
+        # the list of non-blank rows dies with the call, so no chunk's rows outlive it
+        table = _column_table([row for row in rows if row], index, width)
+        if table is None:
+            _raise_first_bad_row(chunks, rows, first, index, width)
+        numbers = range(first, first + len(rows))
+        if len(table) < len(rows):
+            numbers = [number for number, row in zip(numbers, rows) if row]
+        chunks.append((table, numbers))
         first += len(rows)
+    try:
+        return InputDataset(CitationTable.concat(table for table, _ in chunks))
+    except ValueError:  # a paper_id repeated across chunks
+        _raise_first_bad_row(chunks, [], first, index, width)
+        raise
 
 
 def _column_table(body: list[list[str]], index: dict[str, int], width: int) -> CitationTable | None:
-    """The table of non-blank data rows, checked column by column; None if a row check fails.
+    """The table of non-blank data rows, checked column by column; None if a check fails.
 
-    Duplicate paper_ids are left to the caller, which checks them across chunks.
+    The table's constructor finds a negative count or a repeated paper_id within the rows.
     """
     if min(map(len, body), default=width) < width:
         return None
@@ -220,43 +215,57 @@ def _column_table(body: list[list[str]], index: dict[str, int], width: int) -> C
         return None
     # int() takes a stripped cell that _INTEGER rejects only through "_" or a non-ASCII digit
     joined = "".join(raw)
-    if not joined.isascii() or "_" in joined or min(citations, default=0) < 0:
+    if not joined.isascii() or "_" in joined:
         return None
     doc_types = None
     if "doc_type" in index:
         at = index["doc_type"]
         doc_types = tuple(sys.intern(row[at].strip()) or None if len(row) > at else None for row in body)
-    # set ids and doc types repeat on many rows: one shared string per value keeps the table small
-    return CitationTable(map(sys.intern, set_ids), paper_ids, citations, doc_types)
+    try:
+        # set ids and doc types repeat on many rows: one shared string per value keeps the table small
+        return CitationTable(map(sys.intern, set_ids), paper_ids, citations, doc_types)
+    except ValueError:
+        return None
 
 
 def _raise_first_bad_row(
-    rows: list[list[str]], first: int, index: dict[str, int], width: int, first_row_of: dict[str, int]
+    chunks: list[tuple[CitationTable, Sequence[int]]], rows: list[list[str]], first: int,
+    index: dict[str, int], width: int,
 ) -> None:
-    """Raise the ``ValueError`` of the first row that fails a check; ``first`` is its row number.
+    """Raise the ``ValueError`` of the first row that fails a check; return if none does.
 
-    ``first_row_of`` maps the paper_ids of earlier rows to their row numbers.
+    The rows are those of the earlier ``chunks``, each already checked on its own and
+    given by its paper_id and row number, then ``rows``, numbered from ``first``.
     """
-    for row_number, row in enumerate(rows, start=first):
-        if not row:
-            continue
-        if len(row) < width:
-            raise ValueError(f"too few columns at row {row_number}")
-        set_id, paper_id, raw_citations = (row[index[name]].strip() for name in REQUIRED_COLUMNS)
-        if not set_id:
-            raise ValueError(f"empty set_id at row {row_number}")
-        if not paper_id:
-            raise ValueError(f"empty paper_id at row {row_number}")
-        if _INTEGER.fullmatch(raw_citations) is None:
-            raise ValueError(f"non-integer citations {raw_citations!r} at row {row_number}")
-        if int(raw_citations) < 0:
-            raise ValueError(f"negative citations at row {row_number}")
-        if paper_id in first_row_of:
-            raise ValueError(
-                f"duplicate paper_id {paper_id!r} at rows "
-                f"{first_row_of[paper_id]} and {row_number}"
-            )
-        first_row_of[paper_id] = row_number
+
+    def checked() -> Iterator[tuple[str, int]]:
+        for table, numbers in chunks:
+            yield from zip(table.paper_ids, numbers)
+        for row_number, row in enumerate(rows, start=first):
+            if not row:
+                continue
+            if len(row) < width:
+                raise ValueError(f"too few columns at row {row_number}")
+            set_id, paper_id, raw_citations = (row[index[name]].strip() for name in REQUIRED_COLUMNS)
+            if not set_id:
+                raise ValueError(f"empty set_id at row {row_number}")
+            if not paper_id:
+                raise ValueError(f"empty paper_id at row {row_number}")
+            if _INTEGER.fullmatch(raw_citations) is None:
+                raise ValueError(f"non-integer citations {raw_citations!r} at row {row_number}")
+            try:
+                citations = int(raw_citations)
+            except ValueError:  # past the interpreter's limit on digits converted
+                raise ValueError(f"citation count at row {row_number} has too many digits") from None
+            if citations < 0:
+                raise ValueError(f"negative citations at row {row_number}")
+            yield paper_id, row_number
+
+    first_row_of: dict[str, int] = {}
+    for paper_id, row_number in checked():
+        earlier = first_row_of.setdefault(paper_id, row_number)
+        if earlier != row_number:
+            raise ValueError(f"duplicate paper_id {paper_id!r} at rows {earlier} and {row_number}")
 
 
 def load_records(path: str | Path) -> InputDataset:
@@ -289,8 +298,6 @@ def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport
     Deterministic for any input ordering.
     """
     table = dataset.records
-    if not table:
-        raise ValueError("empty input")
     n_papers = Counter(table.set_ids)
     total_citations = dict.fromkeys(n_papers, 0)
     for set_id, count in zip(table.set_ids, table.citations):
@@ -489,8 +496,6 @@ def emit_paper_percentiles(
     through its row too and formats no text cells.
     """
     table = dataset.records
-    if not table:
-        raise ValueError("empty input")
     _check_format(fmt)
     row_values = [compute_percentiles(table, rule, scope).row_values for rule in rules]
     tally = _table_tally(table, scope)

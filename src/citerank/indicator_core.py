@@ -169,9 +169,11 @@ class CitationTable:
 
     ``set_ids``, ``paper_ids``, ``citations`` and ``doc_types`` (``None``
     where absent) are the fields of the records in order; ``len`` is the
-    number of records. The table holds no :class:`CitationRecord`: records
-    go in through :meth:`of` and are read back by column. Tallies computed
-    from it are memoized on it, one per reference scope (see
+    number of records. Its paper_ids are distinct: the constructor raises
+    ``ValueError`` on a negative count or a repeated paper_id, so no reader
+    checks either again. The table holds no :class:`CitationRecord`:
+    records go in through :meth:`of` and are read back by column. Tallies
+    computed from it are memoized on it, one per reference scope (see
     :func:`compute_percentiles`).
     """
 
@@ -193,6 +195,12 @@ class CitationTable:
         if self.citations and min(self.citations) < 0:
             paper_id = next(p for p, c in zip(self.paper_ids, self.citations) if c < 0)
             raise ValueError(f"negative citations for paper {paper_id!r}")
+        if len(dict.fromkeys(self.paper_ids)) != len(self.paper_ids):  # smaller than a set of the ids
+            seen: set[str] = set()
+            for paper_id in self.paper_ids:
+                if paper_id in seen:
+                    raise ValueError(f"duplicate paper_id {paper_id!r}")
+                seen.add(paper_id)
         self._tallies: dict[ReferenceScope, _Tally] = {}
 
     @classmethod
@@ -210,8 +218,10 @@ class CitationTable:
     def concat(cls, tables: Iterable[CitationTable]) -> CitationTable:
         """One table holding the records of ``tables`` in order."""
         tables = list(tables)
-        columns = ("set_ids", "paper_ids", "citations", "doc_types")
-        return cls(*(chain.from_iterable([getattr(table, column) for table in tables]) for column in columns))
+        names = ("set_ids", "paper_ids", "citations", "doc_types")
+        columns = [tuple(chain.from_iterable([getattr(table, name) for table in tables])) for name in names]
+        del tables  # tables that only the caller's iterable held are freed before the joined table is checked
+        return cls(*columns)
 
     def __len__(self) -> int:
         return len(self.paper_ids)
@@ -355,14 +365,6 @@ def _group_numbers(table: CitationTable, scope: ReferenceScope) -> tuple[list[in
     return groups, [f"{set_names[pair // width]}/{doc_names[pair % width]}" for pair in pairs]
 
 
-def _raise_duplicate_id(paper_ids: Sequence[str]) -> None:
-    seen: set[str] = set()
-    for paper_id in paper_ids:
-        if paper_id in seen:
-            raise ValueError(f"duplicate paper_id {paper_id!r}")
-        seen.add(paper_id)
-
-
 class _Tally(NamedTuple):
     """What every counting rule shares for one table under one scope.
 
@@ -385,9 +387,6 @@ class _Tally(NamedTuple):
 def _tally(table: CitationTable, scope: ReferenceScope) -> _Tally:
     if not table:
         raise ValueError("empty input")
-    paper_ids = table.paper_ids
-    if len(dict.fromkeys(paper_ids)) != len(paper_ids):  # at peak memory: smaller than a set of the ids
-        _raise_duplicate_id(paper_ids)
     groups, names = _group_numbers(table, scope)
     counts = table.citations
     # One integer per record, count * n_groups + group, so sorting orders by count and
@@ -405,7 +404,7 @@ def _tally(table: CitationTable, scope: ReferenceScope) -> _Tally:
         rows.append((count, lower[group], tied, sizes[group]))
         row_groups.append(group)
         lower[group] += tied
-    return _Tally(rows, list(map(row_number.__getitem__, keys)), paper_ids, table.set_ids, row_groups, names)
+    return _Tally(rows, list(map(row_number.__getitem__, keys)), table.paper_ids, table.set_ids, row_groups, names)
 
 
 def compute_percentiles(
@@ -419,13 +418,12 @@ def compute_percentiles(
     paper's percentile equals :func:`percentile_of` over its group's
     counts. The rule-independent part is one tally per scope, memoized on
     the :class:`CitationTable` (``records`` converted by
-    :meth:`CitationTable.of`, which returns a table unchanged): the
-    duplicate-id check, the group numbering,
-    every distinct (group, citation count) with its ``lower``/``tied``/``n``,
-    and each record's index into those rows. A rule then costs one
-    evaluation per distinct (group, count), kept as the assignment's
-    ``row_values``; no per-record column and no paper_id-keyed dict is
-    built. A paper's value does not depend on input ordering.
+    :meth:`CitationTable.of`, which returns a table unchanged): the group
+    numbering, every distinct (group, citation count) with its
+    ``lower``/``tied``/``n``, and each record's index into those rows. A
+    rule then costs one evaluation per distinct (group, count), kept as the
+    assignment's ``row_values``; no per-record column and no paper_id-keyed
+    dict is built. A paper's value does not depend on input ordering.
 
     Args:
         records: Citation records with unique paper_ids; non-empty.

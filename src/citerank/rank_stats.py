@@ -34,21 +34,17 @@ class ZTestResult(NamedTuple):
         return self.p_two_sided / 2.0
 
 
-def _validate_pair(x: Sequence[float], y: Sequence[float]) -> None:
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    if len(x) < 2:
-        raise ValueError("need at least 2 observations")
-
-
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Product-moment correlation of two equal-length vectors.
 
-    Raises ``ValueError`` on a length mismatch or when either vector is
-    constant (zero variance).
+    Raises ``ValueError`` on a length mismatch, on fewer than 2
+    observations, or when either vector is constant (zero variance).
     """
-    _validate_pair(x, y)
     n = len(x)
+    if n != len(y):
+        raise ValueError(f"length mismatch: {n} vs {len(y)}")
+    if n < 2:
+        raise ValueError("need at least 2 observations")
     mean_x = math.fsum(x) / n
     mean_y = math.fsum(y) / n
     dx = [v - mean_x for v in x]
@@ -84,10 +80,8 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
 
 
 def spearman_rho(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
-    """Rank correlation: Pearson coefficient of the average-rank vectors."""
-    _validate_pair(x, y)
-    result = pearson_r(_average_ranks(x), _average_ranks(y))
-    return CorrelationResult(result.coefficient, len(x))
+    """Rank correlation: :func:`pearson_r` of the average-rank vectors, which raises its errors."""
+    return pearson_r(_average_ranks(x), _average_ranks(y))
 
 
 def normal_cdf(x: float) -> float:

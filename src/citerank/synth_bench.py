@@ -163,6 +163,8 @@ def generate_set(spec: SetSpec) -> CitationTable:
 
 def divergence_from_report(report: RankingReport, scheme: RankClassScheme) -> DivergenceResult:
     """Correlate the per-set %I3 vectors of a multi-rule report."""
+    if len(report.rows) < 2:
+        raise ValueError("need at least 2 sets")
     if len(report.rules) < 2:
         raise ValueError("need at least 2 rules")
     set_order = tuple(sorted(row.set_id for row in report.rows))
@@ -174,7 +176,7 @@ def divergence_from_report(report: RankingReport, scheme: RankClassScheme) -> Di
         for rule in report.rules
     }
     for token, vector in vectors.items():
-        if len(vector) > 1 and len(set(vector)) == 1:
+        if len(set(vector)) == 1:
             raise ValueError(f"every set has the same %I3 under {token}, so no correlation is defined")
 
     k = len(report.rules)

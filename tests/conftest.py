@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from citerank import CitationRecord, ReferenceScope
+
+# `--hypothesis-profile=thorough` runs each property on many more examples (a CI step uses it)
+settings.register_profile("thorough", max_examples=2000)
 
 # Reference group of a record under each scope, written out independently of the package.
 GROUP_OF_SCOPE = {

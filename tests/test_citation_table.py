@@ -86,6 +86,14 @@ def test_concat_keeps_record_order():
     assert len(CitationTable.concat([])) == 0
 
 
+def test_table_rejects_a_repeated_paper_id_when_built():
+    with pytest.raises(ValueError, match=r"^duplicate paper_id 'p1'$"):
+        CitationTable(("A", "B"), ("p1", "p1"), (1, 2))
+    parts = (CitationTable(["A", "A"], ["p0", "p1"], [0, 1]), CitationTable(["B"], ["p1"], [2]))
+    with pytest.raises(ValueError, match=r"^duplicate paper_id 'p1'$"):
+        CitationTable.concat(parts)
+
+
 def test_dataset_holds_records_as_a_table():
     dataset = InputDataset(RECORDS)
     assert isinstance(dataset.records, CitationTable)

@@ -191,6 +191,16 @@ def test_compare_rules_on_sets_with_equal_percent_i3_is_one_line_error(capsys, t
     assert err == "error: every set has the same %I3 under quantile, so no correlation is defined\n"
 
 
+def test_compare_rules_on_one_set_is_one_line_error(capsys, tmp_path):
+    # pearson_r used to stop it with "need at least 2 observations"
+    path = tmp_path / "one.csv"
+    path.write_text("set_id,paper_id,citations\nA,a1,1\nA,a2,3\n")
+    code, out, err = run_cli(
+        capsys, "compare-rules", "--input", str(path), "--rule", "quantile", "--rule", "lb09"
+    )
+    assert (code, out, err) == (1, "", "error: need at least 2 sets\n")
+
+
 def _delimited_sections(text):
     """Section caption -> rows (header first) of a sectioned delimited report."""
     sections = {}

@@ -103,6 +103,12 @@ def test_parse_rejects_citations_other_than_ascii_digits(cell):
         _dataset(f"set_id,paper_id,citations\nJ1,p1,5\nJ1,p2,{cell}\n")
 
 
+def test_parse_names_the_row_of_a_citation_count_with_too_many_digits():
+    # int() used to raise its own error, which names no row
+    with pytest.raises(ValueError, match=r"^citation count at row 3 has too many digits$"):
+        _dataset(f"set_id,paper_id,citations\nA,p1,1\nA,p2,{'9' * 5000}\n")
+
+
 def test_parse_accepts_signed_ascii_digits():
     dataset = _dataset("set_id,paper_id,citations\nJ1,p1,+5\nJ1,p2,007\n")
     assert dataset.records.citations == (5, 7)
@@ -609,6 +615,11 @@ _HUGE = "x" * (csv.field_size_limit() + 1)
         # a bad row before a line the csv module cannot read is reported first
         (f"A,p1,1\nA,p2,1\nA,p3,-1\nA,{_HUGE},1\n", "negative citations at row 4"),
         (f"A,p1,1\nA,p2,1\nA,p3,1\nA,{_HUGE},1\n", "malformed CSV at line 5 of inline: field larger .*"),
+        # a paper_id repeated across chunks before a line the csv module cannot read is reported first
+        (f"A,p1,1\nA,p2,1\nA,p1,1\nA,{_HUGE},1\n", "duplicate paper_id 'p1' at rows 2 and 4"),
+        # row order decides: a negative count comes before a later repeat in its chunk, of a row there or earlier
+        ("A,p1,1\nA,p2,1\nA,p3,-1\nA,p3,1\n", "negative citations at row 4"),
+        ("A,p1,1\nA,p2,1\nA,p3,-1\nA,p1,1\n", "negative citations at row 4"),
     ],
 )
 def test_parse_errors_name_rows_across_chunks(monkeypatch, body, message):
