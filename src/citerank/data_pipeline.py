@@ -31,7 +31,6 @@ from .indicator_core import (
     RankClassScheme,
     ReferenceScope,
     SetReport,
-    _table_tally,
     compute_percentiles,
     i3,
     percent_i3,
@@ -123,8 +122,8 @@ def parse_records(stream: TextIO, source: str = "<stream>") -> InputDataset:
     ``set_id``, ``paper_id``, and ``citations``; a ``doc_type`` column is
     optional (empty cells mean absent). Labels are whitespace-trimmed and
     a leading UTF-8 byte-order mark is ignored. Citation counts are ASCII
-    digits with an optional sign. Raises ``ValueError`` naming the missing
-    column, or the offending row number for bad citation counts and
+    digits with an optional sign. Raises ``ValueError`` naming a missing or
+    repeated column, or the offending row number for bad citation counts and
     duplicate paper_ids (the header is row 1), or the line the ``csv``
     module could not read, or ``source`` when its bytes are not UTF-8.
 
@@ -166,6 +165,9 @@ def _parse_rows(reader: Iterator[list[str]], source: str) -> InputDataset:
     for name in REQUIRED_COLUMNS:
         if name not in columns:
             raise ValueError(f"missing required column {name!r}")
+    for name in (*REQUIRED_COLUMNS, "doc_type"):
+        if columns.count(name) > 1:
+            raise ValueError(f"column {name!r} appears more than once in the header")
     index = {name: columns.index(name) for name in columns}
     width = max(index[name] for name in REQUIRED_COLUMNS) + 1
 
@@ -482,7 +484,7 @@ def emit_paper_percentiles(
     scope: ReferenceScope = ReferenceScope.GLOBAL_POOL,
     fmt: str = "delimited",
 ) -> str:
-    """Per-paper percentile table, one ``pct_<rule>`` column per rule.
+    """Per-paper percentile table, one ``pct_<rule>`` column per rule; ``rules`` must not be empty.
 
     Rows are sorted by (set_id, paper_id) so equal inputs emit equal bytes.
     Every paper in one row of the shared tally (one reference group and
@@ -497,8 +499,11 @@ def emit_paper_percentiles(
     """
     table = dataset.records
     _check_format(fmt)
-    row_values = [compute_percentiles(table, rule, scope).row_values for rule in rules]
-    tally = _table_tally(table, scope)
+    if not rules:
+        raise ValueError("at least one rule required")
+    assignments = [compute_percentiles(table, rule, scope) for rule in rules]
+    tally = assignments[0].tally  # every rule's assignment over the table and scope shares it
+    row_values = [assignment.row_values for assignment in assignments]
     set_ids, paper_ids, row_of = table.set_ids, table.paper_ids, tally.row_of
     counts = [count for count, _, _, _ in tally.rows]
     # Sorting after the tally keeps the index list out of the tally's peak memory.

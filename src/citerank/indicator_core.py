@@ -229,14 +229,14 @@ class CitationTable:
 
 @dataclass(frozen=True)
 class PercentileAssignment:
-    """One counting rule's percentiles, one value per row of the tally they were computed from.
+    """One counting rule's percentiles: a value per row of the tally they were computed from.
 
-    ``tally`` is the rule-independent tally that every rule's assignment
-    over one table and scope shares (see :func:`compute_percentiles`), and
-    ``row_values[r]`` is the percentile, in [0, 100], of every paper in its
-    row ``r``: one (reference group, citation count) pair. So papers with
-    equal citation counts in the same reference group always hold equal
-    percentiles.
+    ``tally`` is the rule-independent tally that all rules' assignments
+    over one table and scope share, and the one way to reach it (see
+    :func:`compute_percentiles`); ``row_values[r]`` is the percentile, in
+    [0, 100], of every paper in tally row ``r``: one (reference group,
+    citation count) pair. So papers with equal citation counts in the same
+    reference group always hold equal percentiles.
 
     ``entries`` (paper_id -> percentile) and ``group_keys`` (paper_id ->
     reference-group label) are paper_id-keyed views in table order, built
@@ -248,8 +248,6 @@ class PercentileAssignment:
 
     row_values: tuple[float, ...]
     tally: _Tally = field(repr=False)
-    rule: PercentileRule
-    scope: ReferenceScope
 
     @cached_property
     def entries(self) -> dict[str, float]:
@@ -393,17 +391,18 @@ def _tally(table: CitationTable, scope: ReferenceScope) -> _Tally:
     # each group's running ``lower`` is complete when its next count comes up.
     n_groups = len(names)
     keys = counts if groups is None else [c * n_groups + g for c, g in zip(counts, groups)]
-    sizes = Counter(groups) if groups is not None else [len(counts)]
     lower = [0] * n_groups
-    rows: list[tuple[int, int, int, int]] = []
+    walked: list[tuple[int, int, int]] = []
     row_groups: list[int] = []
     row_number: dict[int, int] = {}
     for key, tied in sorted(Counter(keys).items()):
         count, group = divmod(key, n_groups)
-        row_number[key] = len(rows)
-        rows.append((count, lower[group], tied, sizes[group]))
+        row_number[key] = len(walked)
+        walked.append((count, lower[group], tied))
         row_groups.append(group)
         lower[group] += tied
+    # the walk has counted every member of a group into its ``lower``: the group size
+    rows = [(count, below, tied, lower[group]) for (count, below, tied), group in zip(walked, row_groups)]
     return _Tally(rows, list(map(row_number.__getitem__, keys)), table.paper_ids, table.set_ids, row_groups, names)
 
 
@@ -420,7 +419,7 @@ def compute_percentiles(
     the :class:`CitationTable` (``records`` converted by
     :meth:`CitationTable.of`, which returns a table unchanged): the group
     numbering, every distinct (group, citation count) with its
-    ``lower``/``tied``/``n``, and each record's index into those rows. A
+    ``lower``/``tied``/``n`` from one sorted walk, and each record's row. A
     rule then costs one evaluation per distinct (group, count), kept as the
     assignment's ``row_values``; no per-record column and no paper_id-keyed
     dict is built. A paper's value does not depend on input ordering.
@@ -435,17 +434,12 @@ def compute_percentiles(
         A :class:`PercentileAssignment` whose ``row_values[tally.row_of[i]]``
         is the percentile of record ``i`` of ``records``.
     """
-    tally = _table_tally(CitationTable.of(records), scope)
-    row_values = tuple([_rule_value(rule, lower, lower + tied, count, n) for count, lower, tied, n in tally.rows])
-    return PercentileAssignment(row_values, tally, rule, scope)
-
-
-def _table_tally(table: CitationTable, scope: ReferenceScope) -> _Tally:
-    """The tally of ``table`` under ``scope``, computed on first use and then kept on the table."""
+    table = CitationTable.of(records)
     tally = table._tallies.get(scope)
     if tally is None:
         tally = table._tallies[scope] = _tally(table, scope)
-    return tally
+    row_values = tuple([_rule_value(rule, lower, lower + tied, count, n) for count, lower, tied, n in tally.rows])
+    return PercentileAssignment(row_values, tally)
 
 
 def classify(percentile: float, scheme: RankClassScheme) -> float:
@@ -503,17 +497,12 @@ def percent_i3(i3_by_set: Mapping[str, float]) -> dict[str, float]:
 TOP_SHARE_THRESHOLD = 90.0
 
 
-def _check_threshold(threshold: float) -> None:
-    """Raise ``ValueError`` unless a top-share threshold is a percentile in [0, 100]."""
-    if not 0.0 <= threshold <= 100.0:  # NaN fails both comparisons
-        raise ValueError(f"top-share threshold {threshold} outside [0, 100]")
-
-
 def top_count(
     assignment: PercentileAssignment, set_id: str, threshold: float = TOP_SHARE_THRESHOLD
 ) -> tuple[int, int]:
     """Number of a set's papers at or above the percentile threshold, and the set's size."""
-    _check_threshold(threshold)
+    if not 0.0 <= threshold <= 100.0:  # NaN fails both comparisons
+        raise ValueError(f"top-share threshold {threshold} outside [0, 100]")
     values = assignment.percentiles_for_set(set_id)
     return sum(1 for value in values if value >= threshold), len(values)
 

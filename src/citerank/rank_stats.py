@@ -34,33 +34,38 @@ class ZTestResult(NamedTuple):
         return self.p_two_sided / 2.0
 
 
+def _unit_scaled(values: Sequence[float]) -> list[float]:
+    """``values`` times the power of two that puts the largest magnitude in [0.5, 1)."""
+    exponent = math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, -exponent) for v in values]
+
+
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Product-moment correlation of two equal-length vectors.
 
     Raises ``ValueError`` on a length mismatch, on fewer than 2
-    observations, or when either vector is constant (zero variance).
+    observations, or when either vector is constant (zero variance): its
+    smallest value equals its largest. Each vector, then its deviations
+    from the mean, is scaled by the one power of two that puts its largest
+    magnitude in [0.5, 1). That is exact but for subnormal results, so no
+    sum over- or underflows, and a coefficient that never did is unchanged.
     """
     n = len(x)
     if n != len(y):
         raise ValueError(f"length mismatch: {n} vs {len(y)}")
     if n < 2:
         raise ValueError("need at least 2 observations")
+    if min(x) == max(x) or min(y) == max(y):
+        raise ValueError("zero variance")
+    x, y = _unit_scaled(x), _unit_scaled(y)
     mean_x = math.fsum(x) / n
     mean_y = math.fsum(y) / n
-    dx = [v - mean_x for v in x]
-    dy = [v - mean_y for v in y]
+    dx = _unit_scaled([v - mean_x for v in x])
+    dy = _unit_scaled([v - mean_y for v in y])
     sxx = math.fsum(a * a for a in dx)
     syy = math.fsum(b * b for b in dy)
-    if sxx == 0.0 or syy == 0.0:
-        raise ValueError("zero variance")
     sxy = math.fsum(a * b for a, b in zip(dx, dy))
-    product = sxx * syy
-    if product == 0.0 or not math.isfinite(product):
-        # the direct product under-/overflowed; split the roots
-        denominator = math.sqrt(sxx) * math.sqrt(syy)
-    else:
-        denominator = math.sqrt(product)
-    return CorrelationResult(sxy / denominator, n)
+    return CorrelationResult(sxy / math.sqrt(sxx * syy), n)
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:

@@ -4,6 +4,7 @@ paths that read columns without building records."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -198,6 +199,10 @@ def test_the_tally_holds_the_table_columns_and_no_paper_id_dict():
         tally = compute_percentiles(table, QUANTILE, scope).tally
         assert tally.paper_ids is table.paper_ids and tally.set_ids is table.set_ids
         assert not any(isinstance(field, dict) for field in tally)
+
+
+def test_an_assignment_is_row_values_over_the_tally():
+    assert [field.name for field in dataclasses.fields(PercentileAssignment)] == ["row_values", "tally"]
 
 
 def test_a_failed_tally_is_not_memoized(monkeypatch):

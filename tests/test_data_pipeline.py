@@ -87,6 +87,13 @@ def test_parse_missing_column():
         _dataset("set_id,paper_id\nJ1,p1\n")
 
 
+@pytest.mark.parametrize("name", ["set_id", "paper_id", "citations", "doc_type"])
+def test_parse_rejects_a_repeated_column(name):
+    header = ["set_id", "paper_id", "citations", "doc_type", name]
+    with pytest.raises(ValueError, match=rf"^column '{name}' appears more than once in the header$"):
+        _dataset(",".join(header) + "\nJ1,p1,5,article,5\n")
+
+
 def test_parse_negative_citations_row_number():
     with pytest.raises(ValueError, match="negative citations at row 3"):
         _dataset("set_id,paper_id,citations\nJ1,p1,5\nJ1,p3,-2\n")
@@ -480,6 +487,15 @@ def test_paper_table_duplicate_id_error_unchanged():
             emit_paper_percentiles(InputDataset(records), (QUANTILE,), scope)
         with pytest.raises(ValueError, match=r"^duplicate paper_id 'p1'$"):
             compute_percentiles(records, QUANTILE, scope)
+
+
+def test_paper_table_needs_a_rule():
+    dataset = _dataset(TWO_SET_CSV)
+    for fmt in ("delimited", "aligned", "json"):
+        with pytest.raises(ValueError, match=r"^at least one rule required$"):
+            emit_paper_percentiles(dataset, (), ReferenceScope.PER_SET, fmt)
+    with pytest.raises(ValueError, match="unknown format"):  # the format is checked first
+        emit_paper_percentiles(dataset, (), ReferenceScope.PER_SET, "yaml")
 
 
 @pytest.mark.parametrize("scope", [ReferenceScope.PER_DOC_TYPE_POOL, ReferenceScope.PER_SET_AND_DOC_TYPE])

@@ -342,7 +342,7 @@ def _assignment_with(values):
     records = make_records(range(len(values)))
     assignment = compute_percentiles(records, PercentileRule.QUANTILE, ReferenceScope.PER_SET)
     assert assignment.tally.row_of == list(range(len(values)))
-    return type(assignment)(tuple(values), assignment.tally, assignment.rule, assignment.scope)
+    return type(assignment)(tuple(values), assignment.tally)
 
 
 def test_top_share_examples():

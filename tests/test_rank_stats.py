@@ -5,7 +5,7 @@ import random
 
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from citerank import normal_cdf, pearson_r, spearman_rho, ztest_proportions
@@ -42,6 +42,27 @@ def test_pearson_constant_vector():
         pearson_r([1, 2, 3], [5, 5, 5])
 
 
+@pytest.mark.parametrize("tiny", [2.0449476083188804e-157, 1e-160, 1e-170, 5e-324])
+def test_pearson_tiny_spread_is_bounded(tiny):
+    # the squared deviations underflow unless the values are scaled first
+    coefficient = pearson_r([0, 0, 1], [0, 0, tiny]).coefficient
+    assert coefficient == pytest.approx(1.0, abs=1e-15) and coefficient <= 1.0
+
+
+def test_pearson_constancy_is_exact():
+    # the mean of three 0.1s rounds away from 0.1, so every deviation is a tiny nonzero number
+    with pytest.raises(ValueError, match="zero variance"):
+        pearson_r([0.1] * 3, [0, 1, 2])
+
+
+@pytest.mark.parametrize("x", [[1e308, 1.5e308, -1e308], [1.7e308, -1.7e308, 1.7e308], [1e-300, 3e-300, 2e-300]])
+def test_pearson_extreme_magnitudes_match_the_scaled_vector(x):
+    # sums of squares of these overflow or underflow unless the values are scaled first
+    scale = max(map(abs, x))
+    y = [1.0, 2.0, 3.0]
+    assert pearson_r(x, y).coefficient == pytest.approx(pearson_r([v / scale for v in x], y).coefficient, abs=1e-15)
+
+
 def test_pearson_too_short():
     with pytest.raises(ValueError, match="at least 2"):
         pearson_r([1], [2])
@@ -60,6 +81,7 @@ def test_pearson_matches_scipy():
 @given(
     xy=st.lists(st.tuples(finite_floats, finite_floats), min_size=2, max_size=30),
 )
+@example(xy=[(0.0, 0.0), (0.0, 0.0), (1.0, 2.0449476083188804e-157)])
 def test_pearson_symmetric_and_bounded(xy):
     x = [a for a, _ in xy]
     y = [b for _, b in xy]
