@@ -127,15 +127,15 @@ def parse_records(stream: TextIO, source: str = "<stream>") -> InputDataset:
     duplicate paper_ids (the header is row 1), or the line the ``csv``
     module could not read, or ``source`` when its bytes are not UTF-8.
 
-    Rows are read in chunks of :data:`CHUNK_ROWS`, and each chunk's
-    columns are checked in bulk. The chunk's table finds a paper_id
-    repeated within it, the joined table one repeated across chunks, so
-    the parse keeps no set of ids. Only when a check fails are the rows
-    scanned one by one for the first offending row. Cyclic garbage
-    collection is paused meanwhile and left as the caller had it. The pause
-    is process-wide: other threads run without cyclic collection until the
-    parse ends, and if one of them disables collection during the parse,
-    the parse re-enables it on exit.
+    Rows are read in chunks of :data:`CHUNK_ROWS`. Each chunk's cells pass
+    the format checks in bulk and extend one list per column; the lists
+    become the tuples of the one :class:`CitationTable`, whose constructor
+    alone checks each count's sign and paper_id's uniqueness. Only when a
+    check fails are the rows scanned one by one for the first offending
+    row. Cyclic garbage collection is paused meanwhile and left as the
+    caller had it. The pause is process-wide: other threads run without
+    cyclic collection until the parse ends, and if one of them disables
+    collection during the parse, the parse re-enables it on exit.
     """
     reader = csv.reader(stream)
     # The parse makes no reference cycles: its garbage, the row lists, is freed by reference
@@ -161,113 +161,100 @@ def _parse_rows(reader: Iterator[list[str]], source: str) -> InputDataset:
         raise ValueError(f"empty input: {source}") from None
     if header:
         header[0] = header[0].removeprefix("\ufeff")
-    columns = [cell.strip() for cell in header]
+    names = [cell.strip() for cell in header]
     for name in REQUIRED_COLUMNS:
-        if name not in columns:
+        if name not in names:
             raise ValueError(f"missing required column {name!r}")
     for name in (*REQUIRED_COLUMNS, "doc_type"):
-        if columns.count(name) > 1:
+        if names.count(name) > 1:
             raise ValueError(f"column {name!r} appears more than once in the header")
-    index = {name: columns.index(name) for name in columns}
+    index = {name: names.index(name) for name in names}
     width = max(index[name] for name in REQUIRED_COLUMNS) + 1
 
-    # each chunk's table, and the row number of each of its records
-    chunks: list[tuple[CitationTable, Sequence[int]]] = []
+    # one list per column (set_ids, paper_ids, citations[, doc_types]), and the numbers of the blank rows
+    columns: list[Sequence] = [[] for _ in range(4 if "doc_type" in index else 3)]
+    blanks: set[int] = set()
     first = 2
     while True:
         rows: list[list[str]] = []
         try:
             rows.extend(islice(reader, CHUNK_ROWS))
-        except csv.Error:
-            _raise_first_bad_row(chunks, rows, first, index, width)  # a bad row before the unreadable line wins
+        except csv.Error:  # a bad row before the unreadable line wins
+            _raise_first_bad_row(columns, blanks, rows, first, index, width)
             raise
         if not rows:
             break
         # the list of non-blank rows dies with the call, so no chunk's rows outlive it
-        table = _column_table([row for row in rows if row], index, width)
-        if table is None:
-            _raise_first_bad_row(chunks, rows, first, index, width)
-        numbers = range(first, first + len(rows))
-        if len(table) < len(rows):
-            numbers = [number for number, row in zip(numbers, rows) if row]
-        chunks.append((table, numbers))
+        if not _extend_columns(columns, [row for row in rows if row], index, width):
+            _raise_first_bad_row(columns, blanks, rows, first, index, width)
+        if not all(rows):
+            blanks.update(number for number, row in enumerate(rows, start=first) if not row)
         first += len(rows)
+    # each list is freed as soon as its tuple is built, before the next tuple
+    columns = [tuple(columns.pop(0)) for _ in range(len(columns))]
     try:
-        return InputDataset(CitationTable.concat(table for table, _ in chunks))
-    except ValueError:  # a paper_id repeated across chunks
-        _raise_first_bad_row(chunks, [], first, index, width)
+        return InputDataset(CitationTable(*columns))
+    except ValueError:  # a negative count, or a repeated paper_id
+        _raise_first_bad_row(columns, blanks, [], first, index, width)
         raise
 
 
-def _column_table(body: list[list[str]], index: dict[str, int], width: int) -> CitationTable | None:
-    """The table of non-blank data rows, checked column by column; None if a check fails.
-
-    The table's constructor finds a negative count or a repeated paper_id within the rows.
-    """
+def _extend_columns(columns: list[Sequence], body: list[list[str]], index: dict[str, int], width: int) -> bool:
+    """Append the non-blank rows ``body`` to ``columns`` if each cell is well formed (the table checks the rest)."""
     if min(map(len, body), default=width) < width:
-        return None
-    set_ids, paper_ids, raw = (
-        tuple(map(str.strip, map(itemgetter(index[name]), body))) for name in REQUIRED_COLUMNS
-    )
-    if "" in set_ids or "" in paper_ids:
-        return None
-    try:
-        citations = tuple(map(int, raw))
-    except ValueError:  # not an integer, or more digits than int() converts
-        return None
+        return False
+    set_ids, paper_ids, raw = (list(map(str.strip, map(itemgetter(index[name]), body))) for name in REQUIRED_COLUMNS)
     # int() takes a stripped cell that _INTEGER rejects only through "_" or a non-ASCII digit
     joined = "".join(raw)
-    if not joined.isascii() or "_" in joined:
-        return None
-    doc_types = None
+    if "" in set_ids or "" in paper_ids or not joined.isascii() or "_" in joined:
+        return False
+    try:
+        citations = list(map(int, raw))
+    except ValueError:  # not an integer, or more digits than int() converts
+        return False
+    # set ids and doc types repeat on many rows: one shared string per value keeps the table small
+    columns[0] += map(sys.intern, set_ids)
+    columns[1] += paper_ids
+    columns[2] += citations
     if "doc_type" in index:
         at = index["doc_type"]
-        doc_types = tuple(sys.intern(row[at].strip()) or None if len(row) > at else None for row in body)
-    try:
-        # set ids and doc types repeat on many rows: one shared string per value keeps the table small
-        return CitationTable(map(sys.intern, set_ids), paper_ids, citations, doc_types)
-    except ValueError:
-        return None
+        columns[3] += (sys.intern(row[at].strip()) or None if len(row) > at else None for row in body)
+    return True
 
 
 def _raise_first_bad_row(
-    chunks: list[tuple[CitationTable, Sequence[int]]], rows: list[list[str]], first: int,
-    index: dict[str, int], width: int,
+    columns: list[Sequence], blanks: set[int], rows: list[list[str]], first: int, index: dict[str, int], width: int
 ) -> None:
     """Raise the ``ValueError`` of the first row that fails a check; return if none does.
 
-    The rows are those of the earlier ``chunks``, each already checked on its own and
-    given by its paper_id and row number, then ``rows``, numbered from ``first``.
+    The rows are those in ``columns``, well formed and numbered from 2 but ``blanks``, then ``rows`` from ``first``.
     """
-
-    def checked() -> Iterator[tuple[str, int]]:
-        for table, numbers in chunks:
-            yield from zip(table.paper_ids, numbers)
-        for row_number, row in enumerate(rows, start=first):
-            if not row:
-                continue
-            if len(row) < width:
-                raise ValueError(f"too few columns at row {row_number}")
-            set_id, paper_id, raw_citations = (row[index[name]].strip() for name in REQUIRED_COLUMNS)
-            if not set_id:
-                raise ValueError(f"empty set_id at row {row_number}")
-            if not paper_id:
-                raise ValueError(f"empty paper_id at row {row_number}")
-            if _INTEGER.fullmatch(raw_citations) is None:
-                raise ValueError(f"non-integer citations {raw_citations!r} at row {row_number}")
-            try:
-                citations = int(raw_citations)
-            except ValueError:  # past the interpreter's limit on digits converted
-                raise ValueError(f"citation count at row {row_number} has too many digits") from None
-            if citations < 0:
-                raise ValueError(f"negative citations at row {row_number}")
-            yield paper_id, row_number
-
+    built = zip(columns[1], columns[2], (number for number in range(2, first) if number not in blanks))
+    read = (_checked_row(row, number, index, width) for number, row in enumerate(rows, start=first) if row)
     first_row_of: dict[str, int] = {}
-    for paper_id, row_number in checked():
-        earlier = first_row_of.setdefault(paper_id, row_number)
-        if earlier != row_number:
-            raise ValueError(f"duplicate paper_id {paper_id!r} at rows {earlier} and {row_number}")
+    for paper_id, citations, number in chain(built, read):
+        if citations < 0:
+            raise ValueError(f"negative citations at row {number}")
+        earlier = first_row_of.setdefault(paper_id, number)
+        if earlier != number:
+            raise ValueError(f"duplicate paper_id {paper_id!r} at rows {earlier} and {number}")
+
+
+def _checked_row(row: list[str], number: int, index: dict[str, int], width: int) -> tuple[str, int, int]:
+    """The paper_id and citation count of non-blank row ``number``, and the number, if its cells are well formed."""
+    if len(row) < width:
+        raise ValueError(f"too few columns at row {number}")
+    set_id, paper_id, raw = (row[index[name]].strip() for name in REQUIRED_COLUMNS)
+    if not set_id:
+        raise ValueError(f"empty set_id at row {number}")
+    if not paper_id:
+        raise ValueError(f"empty paper_id at row {number}")
+    if _INTEGER.fullmatch(raw) is None:
+        raise ValueError(f"non-integer citations {raw!r} at row {number}")
+    try:
+        return paper_id, int(raw), number
+    except ValueError:  # past the interpreter's limit on digits converted
+        raise ValueError(f"citation count at row {number} has too many digits") from None
 
 
 def load_records(path: str | Path) -> InputDataset:

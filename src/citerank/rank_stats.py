@@ -40,11 +40,20 @@ def _unit_scaled(values: Sequence[float]) -> list[float]:
     return [math.ldexp(v, -exponent) for v in values]
 
 
+def _check_finite(**vectors: Sequence[float]) -> None:
+    """Raise ``ValueError`` naming the vector and the position of the first NaN or infinity."""
+    for name, values in vectors.items():
+        if not all(map(math.isfinite, values)):
+            position = next(i for i, v in enumerate(values) if not math.isfinite(v))
+            raise ValueError(f"{name}[{position}] is {values[position]!r}, not a finite number")
+
+
 def pearson_r(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     """Product-moment correlation of two equal-length vectors.
 
     Raises ``ValueError`` on a length mismatch, on fewer than 2
-    observations, or when either vector is constant (zero variance): its
+    observations, on a NaN or infinity (naming the vector and position of
+    the first), or when either vector is constant (zero variance): its
     smallest value equals its largest. Each vector, then its deviations
     from the mean, is scaled by the one power of two that puts its largest
     magnitude in [0.5, 1). That is exact but for subnormal results, so no
@@ -55,6 +64,7 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
         raise ValueError(f"length mismatch: {n} vs {len(y)}")
     if n < 2:
         raise ValueError("need at least 2 observations")
+    _check_finite(x=x, y=y)
     if min(x) == max(x) or min(y) == max(y):
         raise ValueError("zero variance")
     x, y = _unit_scaled(x), _unit_scaled(y)
@@ -85,7 +95,8 @@ def _average_ranks(values: Sequence[float]) -> list[float]:
 
 
 def spearman_rho(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
-    """Rank correlation: :func:`pearson_r` of the average-rank vectors, which raises its errors."""
+    """Rank correlation: :func:`pearson_r` of the average-rank vectors, and its errors; NaN or infinity fails first."""
+    _check_finite(x=x, y=y)
     return pearson_r(_average_ranks(x), _average_ranks(y))
 
 

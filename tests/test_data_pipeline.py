@@ -8,7 +8,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from citerank import (
@@ -17,6 +17,7 @@ from citerank import (
     TOP10,
     AnalysisConfig,
     CitationRecord,
+    CitationTable,
     InputDataset,
     PercentileRule,
     RankingReport,
@@ -653,6 +654,115 @@ def test_parse_chunks_join_in_row_order(monkeypatch):
         ("A", "p3", 3, "y"),
         ("C", "p4", 0, None),
     ]
+
+
+def test_parse_builds_one_table_whatever_the_chunk_count(monkeypatch):
+    built = []
+    init = CitationTable.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CitationTable, "__init__", counting)
+    monkeypatch.setattr(data_pipeline, "CHUNK_ROWS", 2)
+    dataset = _dataset("set_id,paper_id,citations\n\nA,p1,1\nA,p2,2\n\n\nB,p3,3\nB,p4,4\n\nB,p5,5\nC,p6,6\nC,p7,0\n")
+    assert built == [dataset.records]
+    assert dataset.records.paper_ids == tuple(f"p{i}" for i in range(1, 8))
+
+
+# --- chunked parse against a reference parse that reads one row at a time ----------
+
+_REFERENCE_COLUMNS = ("set_id", "paper_id", "citations")
+
+
+def _reference_parse(text: str, newline) -> list[tuple] | str:
+    """The (set_id, paper_id, citations, doc_type) rows of ``text``, or the text of its first error.
+
+    Written from the documented format, one row at a time, and sharing no code with the package.
+    """
+    reader = csv.reader(io.StringIO(text, newline=newline))
+    try:
+        header = next(reader, None)
+        if header is None:
+            return "empty input: <stream>"
+        if header and header[0].startswith("\ufeff"):
+            header[0] = header[0][1:]
+        names = [cell.strip() for cell in header]
+        for name in _REFERENCE_COLUMNS:
+            if name not in names:
+                return f"missing required column {name!r}"
+        for name in (*_REFERENCE_COLUMNS, "doc_type"):
+            if names.count(name) > 1:
+                return f"column {name!r} appears more than once in the header"
+        at = {name: names.index(name) for name in (*_REFERENCE_COLUMNS, "doc_type") if name in names}
+        width = 1 + max(at[name] for name in _REFERENCE_COLUMNS)
+        rows = []
+        first_row: dict[str, int] = {}
+        for number, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) < width:
+                return f"too few columns at row {number}"
+            set_id, paper_id, raw = (cells[at[name]].strip() for name in _REFERENCE_COLUMNS)
+            if not set_id:
+                return f"empty set_id at row {number}"
+            if not paper_id:
+                return f"empty paper_id at row {number}"
+            if re.fullmatch(r"[+-]?[0-9]+", raw) is None:
+                return f"non-integer citations {raw!r} at row {number}"
+            try:
+                citations = int(raw)
+            except ValueError:
+                return f"citation count at row {number} has too many digits"
+            if citations < 0:
+                return f"negative citations at row {number}"
+            if paper_id in first_row:
+                return f"duplicate paper_id {paper_id!r} at rows {first_row[paper_id]} and {number}"
+            first_row[paper_id] = number
+            doc_type = ""
+            if "doc_type" in at and len(cells) > at["doc_type"]:
+                doc_type = cells[at["doc_type"]].strip()
+            rows.append((set_id, paper_id, citations, doc_type or None))
+        return rows
+    except csv.Error as exc:
+        return f"malformed CSV at line {reader.line_num} of <stream>: {exc}"
+
+
+@st.composite
+def chunked_csv(draw) -> str:
+    """A header, then runs of blank lines, rows that may repeat an earlier paper_id, and malformed rows.
+
+    At one to three rows per chunk, a run of blank lines fills whole chunks, a repeated paper_id
+    is often first seen chunks earlier, and a negative count can sit chunks before a malformed row.
+    """
+    lines = [draw(st.sampled_from(["set_id,paper_id,citations", "set_id,paper_id,citations,doc_type"]))]
+    paper_ids: list[str] = []
+    for kind in draw(st.lists(st.sampled_from(["blanks", "new", "new", "repeat", "malformed"]), max_size=14)):
+        if kind == "blanks":
+            lines += [""] * draw(st.integers(min_value=1, max_value=4))
+        elif kind == "malformed":
+            lines.append(draw(st.sampled_from(["A", "A,q", ",q,1", "A, ,1", "A,q,x", "A,q,1_0", "A,q,", "A,q,--1"])))
+        else:
+            paper_id = draw(st.sampled_from(paper_ids)) if kind == "repeat" and paper_ids else f"p{len(paper_ids)}"
+            paper_ids.append(paper_id)
+            count = draw(st.sampled_from(["0", "7", " 12 ", "+3", "-1", "-0"]))
+            doc_type = draw(st.sampled_from(["", ",art", ", rev ", ","]))
+            lines.append(f"{draw(st.sampled_from('AB'))},{paper_id},{count}{doc_type}")
+    return "\n".join(lines) + "\n"
+
+
+@given(
+    text=st.one_of(csv_text, chunked_csv()),
+    newline=st.sampled_from([None, ""]),
+    chunk_rows=st.sampled_from([1, 2, 3, data_pipeline.CHUNK_ROWS]),
+)
+# a negative count in the first chunk wins over a malformed row in a later one
+@example(text="set_id,paper_id,citations\nA,p0,-1\nA,p1,1\nA,p2,x\n", newline=None, chunk_rows=2)
+# two chunks of blank lines between a paper_id and its repeat
+@example(text="set_id,paper_id,citations\nA,p0,1\n\n\n\n\nB,p0,2\n", newline=None, chunk_rows=2)
+def test_parse_in_chunks_matches_the_reference_parse(text, newline, chunk_rows):
+    assert _outcome(text, newline, chunk_rows) == _reference_parse(text, newline)
 
 
 @given(cell=st.text(alphabet=st.sampled_from("0123456789+-_ .ex\t\x1c\xa0٣５"), max_size=8))

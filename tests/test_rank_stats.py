@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 
 import pytest
 import scipy.stats
@@ -66,6 +67,21 @@ def test_pearson_extreme_magnitudes_match_the_scaled_vector(x):
 def test_pearson_too_short():
     with pytest.raises(ValueError, match="at least 2"):
         pearson_r([1], [2])
+
+
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        # each of these used to return a nan coefficient
+        ([math.nan, 0, 1], [1, 2, 3], "x[0] is nan"),
+        ([math.inf, 0, 1], [1, 2, 3], "x[0] is inf"),
+        ([0, 1, 2], [1, 2, -math.inf], "y[2] is -inf"),
+        ([0, math.nan, math.inf], [1, 2, 3], "x[1] is nan"),
+    ],
+)
+def test_pearson_names_the_first_non_finite_value(x, y, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}, not a finite number$"):
+        pearson_r(x, y)
 
 
 def test_pearson_matches_scipy():
@@ -138,6 +154,20 @@ def test_spearman_errors_follow_pearson():
         spearman_rho([1, 2], [1, 2, 3])
     with pytest.raises(ValueError, match="zero variance"):
         spearman_rho([1, 2, 3], [7, 7, 7])
+
+
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        # NaNs have no order: ranked, these gave the ranks 1, 2, 3 and a coefficient of 1.0
+        ([math.nan] * 3, [1, 2, 3], "x[0] is nan"),
+        ([1, 2, 3], [3, math.nan, 1], "y[1] is nan"),
+        ([1, math.inf, 3], [1, 2, 3], "x[1] is inf"),
+    ],
+)
+def test_spearman_rejects_non_finite_values_before_ranking(x, y, message):
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}, not a finite number$"):
+        spearman_rho(x, y)
 
 
 # --- z-test -------------------------------------------------------------------
