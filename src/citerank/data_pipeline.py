@@ -437,7 +437,8 @@ def parse_ranking_table(text: str) -> list[dict[str, object]]:
 
     Blank lines and lines that start with ``#`` (the version leader) are
     skipped, and the first other row is the header. Raises ``ValueError``
-    naming the line of a row whose cell count differs from the header's.
+    naming the line of a row whose cell count differs from the header's,
+    or the line and the column of a numeric cell that does not parse.
     """
     lines = io.StringIO(text, newline="").readlines()
     reader = csv.reader(lines)
@@ -456,11 +457,16 @@ def parse_ranking_table(text: str) -> list[dict[str, object]]:
         row: dict[str, object] = {}
         for column, cell in zip(header, cells):
             if column in ("n_papers", "total_citations") or column.startswith("rank_"):
-                row[column] = int(cell)
+                kind, number = "an integer", int
             elif column.startswith("pI3_") or column == "top_share":
-                row[column] = float(cell)
+                kind, number = "a number", float
             else:
                 row[column] = cell
+                continue
+            try:
+                row[column] = number(cell)
+            except ValueError:
+                raise ValueError(f"row at line {line}: column {column!r} holds {cell!r}, not {kind}") from None
         rows.append(row)
     return rows
 

@@ -241,9 +241,11 @@ class PercentileAssignment:
     ``entries`` (paper_id -> percentile) and ``group_keys`` (paper_id ->
     reference-group label) are paper_id-keyed views in table order, built
     on first read; no percentile or aggregation path reads them. The first
-    :meth:`percentiles_for_set` call indexes the papers' values by set in
-    one pass; later calls are lookups, so aggregating all sets costs time
-    linear in the number of papers.
+    :meth:`percentiles_for_set` call under a scope builds the tally's set
+    index (``tally.rows_by_set``, each set's papers' tally rows) in one
+    pass, shared by every rule's assignment; each assignment then looks up
+    its ``row_values`` at those rows once. :func:`class_histogram`
+    classifies each distinct value of a set once, with its multiplicity.
     """
 
     row_values: tuple[float, ...]
@@ -260,13 +262,11 @@ class PercentileAssignment:
 
     @cached_property
     def _values_by_set(self) -> dict[str, list[float]]:
-        index: dict[str, list[float]] = defaultdict(list)
-        for set_id, value in zip(self.tally.set_ids, map(self.row_values.__getitem__, self.tally.row_of)):
-            index[set_id].append(value)
-        return dict(index)  # a defaultdict would answer an unknown set_id with an empty list
+        values = self.row_values
+        return {set_id: [values[row] for row in rows] for set_id, rows in self.tally.rows_by_set.items()}
 
     def percentiles_for_set(self, set_id: str) -> list[float]:
-        """Percentile values of one set's papers (aggregation-order only).
+        """Percentile values of one set's papers, in table order.
 
         Returns a fresh list; raises ``ValueError`` for a set with no papers.
         """
@@ -363,7 +363,7 @@ def _group_numbers(table: CitationTable, scope: ReferenceScope) -> tuple[list[in
     return groups, [f"{set_names[pair // width]}/{doc_names[pair % width]}" for pair in pairs]
 
 
-class _Tally(NamedTuple):
+class _TallyColumns(NamedTuple):
     """What every counting rule shares for one table under one scope.
 
     ``rows`` holds one (count, lower, tied, n) tuple per distinct
@@ -380,6 +380,16 @@ class _Tally(NamedTuple):
     set_ids: tuple[str, ...]
     groups: list[int]
     names: list[str]
+
+
+class _Tally(_TallyColumns):  # a NamedTuple has no instance dict to hold a cached property
+    @cached_property
+    def rows_by_set(self) -> dict[str, list[int]]:
+        """The tally rows of each set's papers in table order: the set index, one pass shared by every rule."""
+        rows: dict[str, list[int]] = defaultdict(list)
+        for set_id, row in zip(self.set_ids, self.row_of):
+            rows[set_id].append(row)
+        return dict(rows)  # a defaultdict would answer an unknown set_id with an empty list
 
 
 def _tally(table: CitationTable, scope: ReferenceScope) -> _Tally:
@@ -462,8 +472,8 @@ def class_histogram(
     if scheme.lower_bounds is None:
         raise ValueError("continuous scheme has no rank classes")
     counts = [0] * len(scheme.lower_bounds)
-    for value in assignment.percentiles_for_set(set_id):
-        counts[int(classify(value, scheme)) - 1] += 1
+    for value, papers in Counter(assignment.percentiles_for_set(set_id)).items():
+        counts[int(classify(value, scheme)) - 1] += papers
     return counts
 
 

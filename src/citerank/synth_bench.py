@@ -232,7 +232,10 @@ def _check_distinct_set_ids(specs: Sequence[SetSpec]) -> None:
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Read a JSON experiment config: a list of set specs plus rules/scheme/scope.
 
-    Defaults: all four rules, scheme p100, scope global.
+    Defaults: all four rules, scheme p100, scope global. At least 2 sets
+    and 2 rules are required, and the scope must not group by doc_type,
+    which generated sets lack. Every error is a ``ValueError`` naming
+    ``path`` and the key or set at fault, raised before any set is drawn.
     """
     with open(path, encoding="utf-8") as handle:
         try:
@@ -284,9 +287,24 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     for key, value in (("scheme", scheme_token), ("scope", scope_token)):
         if not isinstance(value, str):
             raise ValueError(f"experiment config {path}: key {key!r} must be a string, got {value!r}")
-    rules = tuple(PercentileRule.from_token(token) for token in rule_tokens)
-    scheme = RankClassScheme.from_token(scheme_token)
-    scope = ReferenceScope.from_token(scope_token)
+
+    def parsed(key, parse, token):
+        try:
+            return parse(token)
+        except ValueError as exc:
+            raise ValueError(f"experiment config {path}: key {key!r}: {exc}") from None
+
+    rules = tuple(parsed("rules", PercentileRule.from_token, token) for token in rule_tokens)
+    scheme = parsed("scheme", RankClassScheme.from_token, scheme_token)
+    scope = parsed("scope", ReferenceScope.from_token, scope_token)
+    if len(rules) < 2:
+        raise ValueError(f"experiment config {path}: key 'rules' must name at least 2 rules, got {len(rules)}")
+    if scope in (ReferenceScope.PER_DOC_TYPE_POOL, ReferenceScope.PER_SET_AND_DOC_TYPE):
+        raise ValueError(
+            f"experiment config {path}: key 'scope': {scope.token!r} needs a doc_type, which generated sets lack"
+        )
+    if len(specs) < 2:
+        raise ValueError(f"experiment config {path}: key 'sets' must hold at least 2 sets, got {len(specs)}")
     return ExperimentConfig(tuple(specs), rules, scheme, scope)
 
 

@@ -295,6 +295,25 @@ def test_paper_table_builds_no_per_record_values(monkeypatch, capsys, tmp_path):
     assert built == ["_values_by_set"]
 
 
+def test_set_index_is_built_once_per_table_and_scope(monkeypatch):
+    built = []
+    index = indicator_core._Tally.rows_by_set
+
+    def counting(tally, _build=index.func):
+        built.append(id(tally))
+        return _build(tally)
+
+    monkeypatch.setattr(index, "func", counting)
+    dataset = parse_records(io.StringIO(DOC_CSV))
+    schemes = (P100, NSF6, RankClassScheme.from_token("top25"))
+    for scope in [*ReferenceScope, *ReferenceScope]:
+        run_analysis(dataset, AnalysisConfig(tuple(PercentileRule), schemes, scope))
+        assignment = compute_percentiles(dataset.records, QUANTILE, scope)
+        assert top_count(assignment, "B", 50.0)[1] == 3
+    # every rule and scheme under one scope reads the index of that scope's one tally
+    assert built == [id(dataset.records._tallies[scope]) for scope in ReferenceScope]
+
+
 def test_paper_table_json_formats_no_text_cells(monkeypatch):
     formatted = []
 

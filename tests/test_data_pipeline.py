@@ -311,6 +311,25 @@ def test_parse_ranking_table_names_the_line_of_a_row_of_the_wrong_width(row, cel
         parse_ranking_table(text)
 
 
+@pytest.mark.parametrize(
+    "column, cell, kind",
+    [
+        ("n_papers", "x", "an integer"),
+        ("total_citations", "5.0", "an integer"),
+        ("rank_quantile_p100", "", "an integer"),
+        ("pI3_quantile_p100", "fifty", "a number"),
+        ("top_share", "0.5%", "a number"),
+    ],
+)
+def test_parse_ranking_table_names_the_line_and_column_of_a_bad_number(column, cell, kind):
+    cells = ["B", "2", "5", "50.000000", "1", "0.000000"]
+    cells[RANKING_HEADER.split(",").index(column)] = cell
+    text = f"# citerank-i3 0.1.0\n{RANKING_HEADER}\nA,2,5,50.000000,1,0.000000\n\n{','.join(cells)}\n"
+    message = f"row at line 5: column {column!r} holds {cell!r}, not {kind}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_ranking_table(text)
+
+
 def test_carriage_return_in_an_id_is_quoted_in_every_delimited_report():
     dataset = _dataset('set_id,paper_id,citations\nA,"p\rq",3\n"B\rx",b1,5\n')
 

@@ -24,6 +24,7 @@ from citerank import (
     i3,
     percent_i3,
     percentile_of,
+    top_count,
     top_share,
 )
 from citerank.indicator_core import _rule_value
@@ -525,6 +526,54 @@ def test_compute_percentiles_and_set_index_match_brute_force(rows):
                 assert sorted(assignment.percentiles_for_set(set_id)) == sorted(brute)
             with pytest.raises(ValueError, match="unknown set_id"):
                 assignment.percentiles_for_set("missing")
+
+
+@st.composite
+def shuffled_tables(draw):
+    """Up to 60 records in up to 6 sets over up to 3 doc types, heavily tied and in a drawn order.
+
+    Each record's doc type is drawn on its own, so one set's papers span several doc-type groups.
+    """
+    n_sets, n_types = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    counts = st.one_of(st.just(0), st.integers(0, 4), st.integers(0, 500))
+    rows = draw(st.lists(st.tuples(st.integers(0, n_sets - 1), counts, st.integers(0, n_types - 1)),
+                         min_size=1, max_size=60))
+    order = draw(st.permutations(range(len(rows))))
+    return [CitationRecord(f"S{rows[i][0]}", f"p{i}", rows[i][1], f"t{rows[i][2]}") for i in order]
+
+
+# top<P> shares: whole percents, whose bounds meet many k*100/n, and shares with decimals
+top_schemes = st.one_of(st.integers(1, 99).map(str), st.integers(1, 10**6 - 1).map(lambda m: f"{m / 10**4}")).map(
+    lambda share: RankClassScheme.from_token(f"top{share}")
+)
+
+
+@given(records=shuffled_tables(), top=top_schemes, data=st.data())
+def test_set_aggregates_equal_a_per_paper_reference(records, top, data):
+    set_ids = sorted({record.set_id for record in records})
+    for scope, group_key in GROUP_OF_SCOPE.items():
+        groups = {}
+        for record in records:
+            groups.setdefault(group_key(record), []).append(record.citations)
+        for rule in RULES:
+            assignment = compute_percentiles(records, rule, scope)
+            for set_id in set_ids:
+                # the reference: each paper's exact percentile, rounded once, in table order
+                values = [
+                    float(exact_percentile(record.citations, groups[group_key(record)], rule.token))
+                    for record in records if record.set_id == set_id
+                ]
+                assert assignment.percentiles_for_set(set_id) == values
+                for scheme in (P100, NSF6, top):
+                    weights = [classify(value, scheme) for value in values]
+                    assert i3(assignment, scheme, set_id) == math.fsum(weights)
+                    if scheme is not P100:
+                        bins = len(scheme.lower_bounds)
+                        assert class_histogram(assignment, scheme, set_id) == [
+                            weights.count(k) for k in range(1, bins + 1)
+                        ]
+                threshold = data.draw(st.sampled_from([0.0, 90.0, 100.0, *values]))
+                assert top_count(assignment, set_id, threshold) == (sum(v >= threshold for v in values), len(values))
 
 
 def test_percentiles_for_set_returns_a_fresh_list(worked_assignment):

@@ -19,7 +19,9 @@ from citerank import (
     load_experiment_config,
     override_seeds,
     run_divergence_experiment,
+    synth_bench,
 )
+from citerank.cli import main
 from citerank.synth_bench import MAX_SET_SIZE, emit_divergence
 from conftest import table_rows
 
@@ -300,6 +302,41 @@ def test_config_rejects_malformed_top_level_keys(tmp_path, extra, match):
     bad.write_text(json.dumps({"sets": [{"set_id": "A", "n": 10, "uncited_share": 0.5}], **extra}))
     with pytest.raises(ValueError, match=match):
         load_experiment_config(bad)
+
+
+TWO_SETS = [{"set_id": "A", "n": 10, "uncited_share": 0.5}, {"set_id": "B", "n": 10, "uncited_share": 0.5}]
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ({"rules": ["quantile", "bogus"]}, "key 'rules': unknown rule 'bogus' (expected one of: "),
+        ({"scheme": "bogus"}, "key 'scheme': unknown scheme 'bogus' (expected p100, nsf6, or top<P>)"),
+        ({"scheme": "top100"}, "key 'scheme': scheme 'top100': top share 100 outside (0, 100)"),
+        ({"scope": "galactic"}, "key 'scope': unknown scope 'galactic' (expected one of: "),
+        ({"rules": []}, "key 'rules' must name at least 2 rules, got 0"),
+        ({"rules": ["lb09"]}, "key 'rules' must name at least 2 rules, got 1"),
+        ({"scope": "per-doc-type"}, "key 'scope': 'per-doc-type' needs a doc_type, which generated sets lack"),
+        ({"scope": "per-set-and-doc-type"},
+         "key 'scope': 'per-set-and-doc-type' needs a doc_type, which generated sets lack"),
+        ({"sets": TWO_SETS[:1]}, "key 'sets' must hold at least 2 sets, got 1"),
+    ],
+)
+def test_config_errors_name_the_file_and_the_key(tmp_path, extra, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"sets": TWO_SETS, **extra}))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'experiment config {bad}: {message}')}"):
+        load_experiment_config(bad)
+
+
+def test_simulate_rejects_a_doc_type_scope_before_drawing_a_set(tmp_path, monkeypatch, capsys):
+    drawn = []
+    monkeypatch.setattr(synth_bench, "generate_set", lambda spec: drawn.append(spec))
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({"sets": TWO_SETS, "scope": "per-set-and-doc-type"}))
+    assert main(["simulate", "--config", str(config)]) == 1
+    assert f"experiment config {config}: key 'scope'" in capsys.readouterr().err
+    assert drawn == []
 
 
 _json_scalars = st.one_of(
