@@ -14,6 +14,7 @@ import io
 import json
 import re
 import sys
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -263,17 +264,9 @@ def load_records(path: str | Path) -> InputDataset:
 
 
 def _competition_ranks(shares: dict[str, float]) -> dict[str, int]:
-    """Competition ranking on descending share; tied values share the smaller rank."""
-    ordered = sorted(shares.items(), key=lambda item: (-item[1], item[0]))
-    ranks: dict[str, int] = {}
-    current_rank = 0
-    previous: float | None = None
-    for position, (set_id, value) in enumerate(ordered, start=1):
-        if previous is None or value != previous:
-            current_rank = position
-            previous = value
-        ranks[set_id] = current_rank
-    return ranks
+    """Each set's competition rank: one more than the number of sets with a strictly larger share."""
+    descending = sorted(-share for share in shares.values())
+    return {set_id: bisect_left(descending, -share) + 1 for set_id, share in shares.items()}
 
 
 def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport:
@@ -362,7 +355,7 @@ def _csv_line(cells: Sequence[str]) -> str:
 
 def _render(
     fmt: str,
-    payload: Callable[[], object],
+    payload: Callable[[], object] | None,
     title: str,
     tables: Sequence[tuple[str | None, Sequence[str], Iterable[Sequence[str]]]],
     lines: Iterable[str] | None = None,
@@ -487,8 +480,8 @@ def emit_paper_percentiles(
     is built from its set_id and paper_id cells and the cells of its row,
     in one walk over the sorted record order. The delimited form joins
     each row's cells into one text tail; the aligned form hands the rows
-    to :func:`_aligned_lines`; the json form reads each paper's numbers
-    through its row too and formats no text cells.
+    to :func:`_aligned_lines`; the json form writes each row's citations
+    and percentiles once, laid out as ``json.dumps(..., indent=2)`` would.
     """
     table = dataset.records
     _check_format(fmt)
@@ -505,29 +498,30 @@ def emit_paper_percentiles(
     order.sort(key=set_ids.__getitem__)
 
     tokens = [rule.token for rule in rules]
-
-    def payload() -> dict[str, object]:
-        numbers = [(count, dict(zip(tokens, values))) for count, *values in zip(counts, *row_values)]
-        papers = []
-        for i in order:
-            count, percentiles = numbers[row_of[i]]
-            papers.append(
-                {"set_id": set_ids[i], "paper_id": paper_ids[i], "citations": count, "percentiles": percentiles}
-            )
-        return {"version": __version__, "rules": tokens, "scope": scope.token, "papers": papers}
-
+    if fmt == "json":
+        # a rule named twice keeps its first key and its last value, as a dict does
+        document = {"version": __version__, "rules": tokens, "scope": scope.token, "papers": []}
+        head, tail = json.dumps(document, indent=2).rsplit("[]", 1)
+        keys = list(map(json.dumps, tokens))
+        blocks = [
+            f'      "citations": {count},\n      "percentiles": {{\n'
+            + ",\n".join(f"        {key}: {value!r}" for key, value in dict(zip(keys, values)).items())
+            + "\n      }\n    }"
+            for count, *values in zip(counts, *row_values)
+        ]
+        set_heads = {set_id: f'    {{\n      "set_id": {json.dumps(set_id)},\n      "paper_id": ' for set_id in set(set_ids)}
+        papers = (f"{set_heads[set_ids[i]]}{json.dumps(paper_ids[i])},\n{blocks[row_of[i]]}" for i in order)
+        return f"{head}[\n" + ",\n".join(papers) + f"\n  ]{tail}\n"
     header = ["set_id", "paper_id", "citations"] + [f"pct_{token}" for token in tokens]
     title = f"paper percentiles (scope: {scope.token})"
-    if fmt == "json":
-        return _render(fmt, payload, title, ())
     # the numeric cells of each tally row
     row_cells = list(zip(map(str, counts), *([format(value, ".6f") for value in values] for values in row_values)))
     if fmt == "aligned":
         rows = ((set_ids[i], paper_ids[i], *row_cells[row_of[i]]) for i in order)
-        return _render(fmt, payload, title, [(None, header, rows)])
+        return _render(fmt, None, title, [(None, header, rows)])
     set_cells = {set_id: _first_cell(set_id) + "," for set_id in set(set_ids)}
     # paper_ids are distinct, and never a line's first cell: encode them only when one needs quoting
     paper_cells = paper_ids if _QUOTED.search("".join(paper_ids)) is None else list(map(_cell, paper_ids))
     tails = ["," + ",".join(cells) + "\n" for cells in row_cells]
     lines = (f"{set_cells[set_ids[i]]}{paper_cells[i]}{tails[row_of[i]]}" for i in order)
-    return _render(fmt, payload, title, (), chain([_csv_line(header)], lines))
+    return _render(fmt, None, title, (), chain([_csv_line(header)], lines))

@@ -343,9 +343,10 @@ def _numbering(column: Sequence) -> tuple[list[int], list]:
 def _group_numbers(table: CitationTable, scope: ReferenceScope) -> tuple[list[int] | None, list[str]]:
     """Reference-group number of every record (``None``: one group), and each group's label.
 
-    ``per-set-and-doc-type`` groups by the (set_id, doc_type) pair, numbered
-    through integers rather than tuples: its ``"<set_id>/<doc_type>"`` label
-    is for display only, since ``a/b`` + ``c`` and ``a`` + ``b/c`` share one.
+    A group is keyed by its own value: the set_id, the doc_type, or under
+    ``per-set-and-doc-type`` the (set_id, doc_type) pair, so ``a/b`` + ``c``
+    and ``a`` + ``b/c`` are two groups. The ``"<set_id>/<doc_type>"`` label
+    joins a pair for display only and may be shared by two groups.
     """
     if scope is ReferenceScope.GLOBAL_POOL:
         return None, ["all"]
@@ -359,6 +360,7 @@ def _group_numbers(table: CitationTable, scope: ReferenceScope) -> tuple[list[in
     sets, set_names = _numbering(table.set_ids)
     doc_types, doc_names = _numbering(table.doc_types)
     width = len(doc_names)
+    # a pair as one int: numbering a list of pair tuples left a higher peak RSS on 200k records
     groups, pairs = _numbering([s * width + d for s, d in zip(sets, doc_types)])
     return groups, [f"{set_names[pair // width]}/{doc_names[pair % width]}" for pair in pairs]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -92,9 +93,10 @@ class SetSpec:
             raise ValueError(f"set {self.set_id!r}: n must be at most {MAX_SET_SIZE:,}")
         if not 0.0 <= self.uncited_share <= 1.0:
             raise ValueError(f"set {self.set_id!r}: uncited_share outside [0, 1]")
-        if not math.isfinite(self.mu):
+        # NaN fails these comparisons too, and so does an int past a float's range
+        if not abs(self.mu) <= sys.float_info.max:
             raise ValueError(f"set {self.set_id!r}: mu must be finite")
-        if not 0.0 <= self.sigma < math.inf:
+        if not 0.0 <= self.sigma <= sys.float_info.max:
             raise ValueError(f"set {self.set_id!r}: sigma must be finite and non-negative")
         if self.seed < 0:
             raise ValueError(f"set {self.set_id!r}: seed must be non-negative")
@@ -167,14 +169,9 @@ def divergence_from_report(report: RankingReport, scheme: RankClassScheme) -> Di
         raise ValueError("need at least 2 sets")
     if len(report.rules) < 2:
         raise ValueError("need at least 2 rules")
-    set_order = tuple(sorted(row.set_id for row in report.rows))
-    by_set = {row.set_id: row for row in report.rows}
-    vectors = {
-        rule.token: tuple(
-            by_set[set_id].percent_i3[pair_key(rule, scheme)] for set_id in set_order
-        )
-        for rule in report.rules
-    }
+    rows = sorted(report.rows, key=lambda row: row.set_id)
+    keys = {rule.token: pair_key(rule, scheme) for rule in report.rules}
+    vectors = {token: tuple(row.percent_i3[key] for row in rows) for token, key in keys.items()}
     for token, vector in vectors.items():
         if len(set(vector)) == 1:
             raise ValueError(f"every set has the same %I3 under {token}, so no correlation is defined")
@@ -189,12 +186,9 @@ def divergence_from_report(report: RankingReport, scheme: RankClassScheme) -> Di
             pearson[i][j] = pearson[j][i] = pearson_r(x, y).coefficient
             spearman[i][j] = spearman[j][i] = spearman_rho(x, y).coefficient
 
-    top_set = {
-        rule.token: min(row.set_id for row in report.rows if row.rank[pair_key(rule, scheme)] == 1)
-        for rule in report.rules
-    }
+    top_set = {token: next(row.set_id for row in rows if row.rank[key] == 1) for token, key in keys.items()}
     pearson, spearman = (tuple(map(tuple, matrix)) for matrix in (pearson, spearman))
-    return DivergenceResult(report.rules, set_order, vectors, pearson, spearman, top_set)
+    return DivergenceResult(report.rules, tuple(row.set_id for row in rows), vectors, pearson, spearman, top_set)
 
 
 def run_divergence_experiment(
@@ -235,76 +229,61 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     Defaults: all four rules, scheme p100, scope global. At least 2 sets
     and 2 rules are required, and the scope must not group by doc_type,
     which generated sets lack. Every error is a ``ValueError`` naming
-    ``path`` and the key or set at fault, raised before any set is drawn.
+    ``path`` and the key or set at fault, raised before any set is drawn;
+    a file nested deeper than the JSON decoder allows is one too.
     """
-    with open(path, encoding="utf-8") as handle:
-        try:
-            payload = json.load(handle)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ValueError(f"experiment config {path}: {exc}") from None
-    if not isinstance(payload, dict) or "sets" not in payload:
-        raise ValueError(f"experiment config {path}: missing 'sets'")
-    raw_sets = payload["sets"]
-    if not isinstance(raw_sets, list) or not raw_sets:
-        raise ValueError(f"experiment config {path}: 'sets' must be a non-empty list")
 
-    specs = []
-    for position, entry in enumerate(raw_sets):
-        if not isinstance(entry, dict):
-            raise ValueError(f"experiment config {path}: set #{position} must be an object")
-        unknown = set(entry) - set(_SET_KEYS)
-        if unknown:
-            raise ValueError(
-                f"experiment config {path}: unknown keys {sorted(unknown)} in set #{position}"
-            )
-        missing = {"set_id", "n", "uncited_share"} - set(entry)
-        if missing:
-            raise ValueError(
-                f"experiment config {path}: set #{position} missing {sorted(missing)}"
-            )
+    def parsed(where, parse, *args, **kwargs):
         try:
-            spec = SetSpec(**entry)
+            return parse(*args, **kwargs)
         except ValueError as exc:
-            raise ValueError(f"experiment config {path}: set #{position}: {exc}") from None
-        specs.append(spec)
+            raise ValueError(f"{where}: {exc}") from None
+
     try:
+        with open(path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        if not isinstance(payload, dict) or "sets" not in payload:
+            raise ValueError("missing 'sets'")
+        raw_sets = payload["sets"]
+        if not isinstance(raw_sets, list) or not raw_sets:
+            raise ValueError("'sets' must be a non-empty list")
+
+        specs = []
+        for position, entry in enumerate(raw_sets):
+            if not isinstance(entry, dict):
+                raise ValueError(f"set #{position} must be an object")
+            unknown = set(entry) - set(_SET_KEYS)
+            if unknown:
+                raise ValueError(f"unknown keys {sorted(unknown)} in set #{position}")
+            missing = {"set_id", "n", "uncited_share"} - set(entry)
+            if missing:
+                raise ValueError(f"set #{position} missing {sorted(missing)}")
+            specs.append(parsed(f"set #{position}", SetSpec, **entry))
         _check_distinct_set_ids(specs)
-    except ValueError as exc:
+
+        rule_tokens = payload.get("rules", [rule.token for rule in PercentileRule])
+        if (
+            not isinstance(rule_tokens, list)
+            or not all(isinstance(token, str) for token in rule_tokens)
+            or len(set(rule_tokens)) != len(rule_tokens)
+        ):
+            raise ValueError(f"key 'rules' must be a list of distinct strings, got {rule_tokens!r}")
+        scheme_token = payload.get("scheme", "p100")
+        scope_token = payload.get("scope", "global")
+        for key, value in (("scheme", scheme_token), ("scope", scope_token)):
+            if not isinstance(value, str):
+                raise ValueError(f"key {key!r} must be a string, got {value!r}")
+        rules = tuple(parsed("key 'rules'", PercentileRule.from_token, token) for token in rule_tokens)
+        scheme = parsed("key 'scheme'", RankClassScheme.from_token, scheme_token)
+        scope = parsed("key 'scope'", ReferenceScope.from_token, scope_token)
+        if len(rules) < 2:
+            raise ValueError(f"key 'rules' must name at least 2 rules, got {len(rules)}")
+        if scope in (ReferenceScope.PER_DOC_TYPE_POOL, ReferenceScope.PER_SET_AND_DOC_TYPE):
+            raise ValueError(f"key 'scope': {scope.token!r} needs a doc_type, which generated sets lack")
+        if len(specs) < 2:
+            raise ValueError(f"key 'sets' must hold at least 2 sets, got {len(specs)}")
+    except (ValueError, RecursionError) as exc:  # also not JSON, not UTF-8, or nested too deeply
         raise ValueError(f"experiment config {path}: {exc}") from None
-
-    rule_tokens = payload.get("rules", [rule.token for rule in PercentileRule])
-    if (
-        not isinstance(rule_tokens, list)
-        or not all(isinstance(token, str) for token in rule_tokens)
-        or len(set(rule_tokens)) != len(rule_tokens)
-    ):
-        raise ValueError(
-            f"experiment config {path}: key 'rules' must be a list of distinct strings, "
-            f"got {rule_tokens!r}"
-        )
-    scheme_token = payload.get("scheme", "p100")
-    scope_token = payload.get("scope", "global")
-    for key, value in (("scheme", scheme_token), ("scope", scope_token)):
-        if not isinstance(value, str):
-            raise ValueError(f"experiment config {path}: key {key!r} must be a string, got {value!r}")
-
-    def parsed(key, parse, token):
-        try:
-            return parse(token)
-        except ValueError as exc:
-            raise ValueError(f"experiment config {path}: key {key!r}: {exc}") from None
-
-    rules = tuple(parsed("rules", PercentileRule.from_token, token) for token in rule_tokens)
-    scheme = parsed("scheme", RankClassScheme.from_token, scheme_token)
-    scope = parsed("scope", ReferenceScope.from_token, scope_token)
-    if len(rules) < 2:
-        raise ValueError(f"experiment config {path}: key 'rules' must name at least 2 rules, got {len(rules)}")
-    if scope in (ReferenceScope.PER_DOC_TYPE_POOL, ReferenceScope.PER_SET_AND_DOC_TYPE):
-        raise ValueError(
-            f"experiment config {path}: key 'scope': {scope.token!r} needs a doc_type, which generated sets lack"
-        )
-    if len(specs) < 2:
-        raise ValueError(f"experiment config {path}: key 'sets' must hold at least 2 sets, got {len(specs)}")
     return ExperimentConfig(tuple(specs), rules, scheme, scope)
 
 

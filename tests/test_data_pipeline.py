@@ -39,7 +39,7 @@ from citerank import (
     run_analysis,
     top_share,
 )
-from citerank import data_pipeline
+from citerank import __version__, data_pipeline
 from conftest import GROUP_OF_SCOPE, table_rows
 from exact_oracle import oracle_entries
 
@@ -363,6 +363,15 @@ def test_set_id_starting_with_hash_is_quoted_in_every_delimited_report():
     assert [row[0] for row in rows(divergence, ("percent_i3", "correlations", "top_ranked"))[3:5]] == ["#x", "B"]
 
 
+def test_divergence_top_set_is_the_smallest_set_id_of_rank_1():
+    dataset = _dataset("set_id,paper_id,citations\nC,c1,5\nC,c2,1\nA,a1,0\nA,a2,0\nB,b1,5\nB,b2,1\n")
+    report = run_analysis(dataset, AnalysisConfig((QUANTILE, PercentileRule.LB09), (P100,)))
+    assert [row.rank[pair_key(QUANTILE, P100)] for row in report.rows] == [1, 1, 3]
+    result = divergence_from_report(report, P100)
+    assert result.set_order == ("A", "B", "C")
+    assert result.top_set == {"quantile": "B", "lb09": "B"}
+
+
 def test_shuffled_input_emits_identical_bytes():
     lines = TWO_SET_CSV.strip().splitlines()
     header, body = lines[0], lines[1:]
@@ -493,6 +502,38 @@ def test_paper_table_matches_percentile_of_in_every_scope_and_format(rows):
             padded = [row[0].ljust(widths[0])] + [cell.rjust(widths[i]) for i, cell in enumerate(row) if i]
             lines.append("  ".join(padded).rstrip())
         assert emit_paper_percentiles(dataset, rules, scope, "aligned") == "\n".join(lines) + "\n"
+
+
+def _paper_json_reference(dataset, rules, scope):
+    """The per-paper json document as one dict: papers in (set_id, paper_id) order, percentiles by rule token."""
+    tokens = [rule.token for rule in rules]
+    entries = [compute_percentiles(dataset.records, rule, scope).entries for rule in rules]
+    papers = [
+        {"set_id": set_id, "paper_id": paper_id, "citations": count,
+         "percentiles": dict(zip(tokens, [values[paper_id] for values in entries]))}
+        for set_id, paper_id, count, _ in sorted(table_rows(dataset.records))
+    ]
+    return {"version": __version__, "rules": tokens, "scope": scope.token, "papers": papers}
+
+
+# Ids that json escapes: quotes, backslashes, control characters and non-ASCII text.
+_escaped_ids = st.text(alphabet=st.sampled_from('a"\\/\x00\x1f\x7f\n\té\u2028☃\U0001f600'), min_size=1, max_size=4)
+
+
+@settings(deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(_escaped_ids | st.text(min_size=1, max_size=4), _escaped_ids | st.text(min_size=1, max_size=4),
+                  st.integers(min_value=0, max_value=2**70), st.sampled_from(["article", 'ré"view'])),
+        min_size=1, max_size=20, unique_by=lambda row: row[1],
+    ),
+    rules=st.lists(st.sampled_from(list(PercentileRule)), min_size=1, max_size=6),
+    scope=st.sampled_from(list(ReferenceScope)),
+)
+def test_paper_json_equals_the_dict_payload_reference(rows, rules, scope):
+    dataset = InputDataset(CitationTable(*zip(*rows)))
+    expected = json.dumps(_paper_json_reference(dataset, rules, scope), indent=2) + "\n"
+    assert emit_paper_percentiles(dataset, rules, scope, "json") == expected
 
 
 def test_paper_table_duplicate_id_error_unchanged():

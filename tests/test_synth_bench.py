@@ -2,15 +2,20 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from citerank import (
     P100,
     DivergenceResult,
+    ExperimentConfig,
     PercentileRule,
     ReferenceScope,
     SetSpec,
@@ -372,6 +377,88 @@ def test_load_experiment_config_fuzz_loads_or_raises_value_error(tmp_path_factor
     except ValueError:
         return
     assert loaded.sets and len(set(loaded.rules)) == len(loaded.rules)
+
+
+@pytest.mark.parametrize(
+    "shape,message",
+    [({"mu": 10**400}, "mu must be finite"), ({"mu": -(10**400)}, "mu must be finite"),
+     ({"sigma": 10**400}, "sigma must be finite and non-negative")],
+)
+def test_set_spec_rejects_an_int_past_a_float_range(shape, message):
+    with pytest.raises(ValueError, match=f"^set 'A': {message}$"):
+        SetSpec("A", n=10, uncited_share=0.5, **shape)
+
+
+# Deeper than the JSON decoder's recursion limit.
+DEEP_NESTING = "[" * 10_000
+
+
+def test_simulate_reports_a_too_deeply_nested_config_on_one_line(tmp_path):
+    config = tmp_path / "deep.json"
+    config.write_text(DEEP_NESTING, encoding="utf-8")
+    src = str(Path(synth_bench.__file__).parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-m", "citerank.cli", "simulate", "--config", str(config)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (result.returncode, result.stdout) == (1, "")
+    assert result.stderr.startswith(f"error: experiment config {config}: ")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+    with pytest.raises(ValueError, match=f"^{re.escape(f'experiment config {config}: ')}"):
+        load_experiment_config(config)
+
+
+VALID_CONFIG = {
+    "sets": [
+        {"set_id": "A", "n": 10, "uncited_share": 0.5, "mu": 1.0, "sigma": 1.0, "seed": 1},
+        {"set_id": "B", "n": 10, "uncited_share": 0.2, "mu": 1.5, "sigma": 0.5, "seed": 2},
+    ],
+    "rules": ["quantile", "lb09"],
+    "scheme": "nsf6",
+    "scope": "per-set",
+}
+# Where a generated value replaces one key of VALID_CONFIG: a top-level key, or a key of one set.
+_CONFIG_KEYS = [(key,) for key in VALID_CONFIG] + [
+    ("sets", position, key) for position in (0, 1) for key in VALID_CONFIG["sets"][position]
+]
+# Ints far past a float's range, still within the digits that json converts.
+_huge_ints = st.builds(lambda sign, digits: sign * 10**digits, st.sampled_from([1, -1]), st.integers(300, 4000))
+_any_scalar = st.none() | st.booleans() | st.integers() | _huge_ints | st.floats() | st.text(max_size=8)
+_any_json = st.recursive(
+    _any_scalar,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+def _replaced(where: tuple, value: object) -> dict:
+    config = json.loads(json.dumps(VALID_CONFIG))
+    parent = config
+    for step in where[:-1]:
+        parent = parent[step]
+    parent[where[-1]] = value
+    return config
+
+
+_config_documents = st.one_of(
+    _any_json.map(json.dumps),
+    st.builds(_replaced, st.sampled_from(_CONFIG_KEYS), _any_scalar | _any_json).map(json.dumps),
+)
+
+
+@given(document=_config_documents)
+@example(document=DEEP_NESTING)
+@example(document=json.dumps(_replaced(("sets", 1, "mu"), -(10**400))))
+@example(document='{"sets": [{"set_id": "A", "n": 1' + "0" * 5000 + ', "uncited_share": 0.5}]}')
+def test_config_errors_name_the_file_whatever_the_json(tmp_path_factory, document):
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(document, encoding="utf-8")
+    try:
+        loaded = load_experiment_config(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"experiment config {path}: ")
+    else:
+        assert isinstance(loaded, ExperimentConfig)
 
 
 @pytest.mark.parametrize("share,n,zeros", [(0.043, 10000, 430), (0.29, 100, 29)])
