@@ -15,7 +15,6 @@ import json
 import re
 import sys
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -263,56 +262,39 @@ def load_records(path: str | Path) -> InputDataset:
         return parse_records(handle, source=str(path))
 
 
-def _competition_ranks(shares: dict[str, float]) -> dict[str, int]:
-    """Each set's competition rank: one more than the number of sets with a strictly larger share."""
-    descending = sorted(-share for share in shares.values())
-    return {set_id: bisect_left(descending, -share) + 1 for set_id, share in shares.items()}
-
-
 def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport:
     """Full pipeline: percentiles, per-set I3 and %I3, ranks, top-share.
 
     Composes :func:`compute_percentiles`, :func:`i3`, :func:`percent_i3`,
-    and :func:`top_share` for every requested (rule, scheme) pair. One
-    rule's assignment is alive at a time: it is computed, aggregated under
-    every scheme (and, for the first requested rule, reduced to the
-    top-share column at the 90th percentile), then dropped.
-    Deterministic for any input ordering.
+    and :func:`top_share` for every requested (rule, scheme) pair. The
+    first rule's assignment makes one row per set, in set_id order, from
+    the tally's set index (``tally.rows_by_set``): the set's size is its
+    number of tally rows, its citation total the sum of their counts, and
+    its top-share is taken at the 90th percentile. Each (rule, scheme)
+    pass then writes its I3, %I3 and rank into every row. One rule's
+    assignment is alive at a time. Deterministic for any input ordering.
     """
-    table = dataset.records
-    n_papers = Counter(table.set_ids)
-    total_citations = dict.fromkeys(n_papers, 0)
-    for set_id, count in zip(table.set_ids, table.citations):
-        total_citations[set_id] += count
-    set_order = sorted(n_papers)
-
-    i3_cells: dict[str, dict[str, float]] = {}
-    share_cells: dict[str, dict[str, float]] = {}
-    rank_cells: dict[str, dict[str, int]] = {}
-    top_shares: dict[str, float] = {}
+    rows: list[SetReport] = []
     for rule in config.rules:
-        assignment = compute_percentiles(table, rule, config.scope)
+        assignment = compute_percentiles(dataset.records, rule, config.scope)
+        if not rows:
+            counts = [count for count, _, _, _ in assignment.tally.rows]
+            rows = [
+                SetReport(set_id, len(tally_rows), sum(map(counts.__getitem__, tally_rows)), {}, {}, {},
+                          top_share(assignment, set_id, TOP_SHARE_THRESHOLD))
+                for set_id, tally_rows in sorted(assignment.tally.rows_by_set.items())
+            ]
         for scheme in config.schemes:
             key = pair_key(rule, scheme)
-            i3_by_set = {set_id: i3(assignment, scheme, set_id) for set_id in set_order}
+            i3_by_set = {row.set_id: i3(assignment, scheme, row.set_id) for row in rows}
             shares = percent_i3(i3_by_set)
-            i3_cells[key] = i3_by_set
-            share_cells[key] = shares
-            rank_cells[key] = _competition_ranks(shares)
-        if rule is config.rules[0]:
-            top_shares = {set_id: top_share(assignment, set_id, TOP_SHARE_THRESHOLD) for set_id in set_order}
+            # a set's competition rank: one more than the number of sets with a strictly larger share
+            descending = sorted(-share for share in shares.values())
+            for row in rows:
+                row.i3[key], row.percent_i3[key] = i3_by_set[row.set_id], shares[row.set_id]
+                row.rank[key] = bisect_left(descending, -row.percent_i3[key]) + 1
         del assignment
 
-    rows = [
-        SetReport(
-            set_id, n_papers[set_id], total_citations[set_id],
-            {key: cells[set_id] for key, cells in i3_cells.items()},
-            {key: cells[set_id] for key, cells in share_cells.items()},
-            {key: cells[set_id] for key, cells in rank_cells.items()},
-            top_shares[set_id],
-        )
-        for set_id in set_order
-    ]
     primary = pair_key(config.rules[0], config.schemes[0])
     rows.sort(key=lambda row: (-row.percent_i3[primary], row.set_id))
     return RankingReport(tuple(rows), config.rules, config.schemes, config.scope)

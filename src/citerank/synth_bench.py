@@ -226,11 +226,12 @@ def _check_distinct_set_ids(specs: Sequence[SetSpec]) -> None:
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Read a JSON experiment config: a list of set specs plus rules/scheme/scope.
 
-    Defaults: all four rules, scheme p100, scope global. At least 2 sets
-    and 2 rules are required, and the scope must not group by doc_type,
-    which generated sets lack. Every error is a ``ValueError`` naming
-    ``path`` and the key or set at fault, raised before any set is drawn;
-    a file nested deeper than the JSON decoder allows is one too.
+    Defaults: all four rules, scheme p100, scope global; any other
+    top-level key is an error. At least 2 sets and 2 rules are required,
+    and the scope must not group by doc_type, which generated sets lack.
+    Every error is a ``ValueError`` naming ``path`` and the key or set at
+    fault, raised before any set is drawn; a file nested deeper than the
+    JSON decoder allows is one too.
     """
 
     def parsed(where, parse, *args, **kwargs):
@@ -244,6 +245,9 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
             payload = json.load(handle)
         if not isinstance(payload, dict) or "sets" not in payload:
             raise ValueError("missing 'sets'")
+        unknown = set(payload) - {"sets", "rules", "scheme", "scope"}
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
         raw_sets = payload["sets"]
         if not isinstance(raw_sets, list) or not raw_sets:
             raise ValueError("'sets' must be a non-empty list")

@@ -375,6 +375,16 @@ def test_simulate_malformed_config_is_one_line_error(capsys, tmp_path):
     assert err == f"error: experiment config {path}: set #0: set 'A': n must be an integer, got '100'\n"
 
 
+def test_simulate_rejects_a_misspelt_top_level_key(capsys, tmp_path):
+    # a dropped "rule" key would run all four default rules
+    path = tmp_path / "exp.json"
+    sets = [{"set_id": "A", "n": 50, "uncited_share": 0.2}, {"set_id": "B", "n": 50, "uncited_share": 0.6}]
+    path.write_text(json.dumps({"sets": sets, "rule": ["quantile", "lb09"]}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: experiment config {path}: unknown keys ['rule']\n"
+
+
 @pytest.mark.parametrize(
     "entry,extra,message",
     [

@@ -14,7 +14,9 @@ from citerank import (
     NSF6,
     P100,
     TOP10,
+    AnalysisConfig,
     CitationRecord,
+    InputDataset,
     PercentileRule,
     RankClassScheme,
     ReferenceScope,
@@ -24,6 +26,7 @@ from citerank import (
     i3,
     percent_i3,
     percentile_of,
+    run_analysis,
     top_count,
     top_share,
 )
@@ -574,6 +577,31 @@ def test_set_aggregates_equal_a_per_paper_reference(records, top, data):
                         ]
                 threshold = data.draw(st.sampled_from([0.0, 90.0, 100.0, *values]))
                 assert top_count(assignment, set_id, threshold) == (sum(v >= threshold for v in values), len(values))
+
+
+@given(records=shuffled_tables(), rules=st.lists(st.sampled_from(RULES), min_size=1, max_size=6))
+def test_report_rows_equal_a_per_record_reference(records, rules):
+    # rules in any order, repeats included; the discrete schemes keep every total I3 above zero
+    schemes = (NSF6, TOP10)
+    keys = list(dict.fromkeys(f"{rule.token}_{scheme.label}" for rule in rules for scheme in schemes))
+    dataset = InputDataset(records)
+    for scope, group_key in GROUP_OF_SCOPE.items():
+        groups = {}
+        for record in records:
+            groups.setdefault(group_key(record), []).append(record.citations)
+        by_set = {}
+        for record in records:
+            value = float(exact_percentile(record.citations, groups[group_key(record)], rules[0].token))
+            by_set.setdefault(record.set_id, []).append((record.citations, value))
+        weight = {set_id: sum(classify(value, NSF6) for _, value in papers) for set_id, papers in by_set.items()}
+        report = run_analysis(dataset, AnalysisConfig(tuple(rules), schemes, scope))
+        assert [row.set_id for row in report.rows] == sorted(by_set, key=lambda set_id: (-weight[set_id], set_id))
+        for row in report.rows:
+            papers = by_set[row.set_id]
+            assert row.n_papers == len(papers)
+            assert row.total_citations == sum(count for count, _ in papers)
+            assert row.top_share == sum(value >= 90.0 for _, value in papers) / len(papers)
+            assert list(row.i3) == list(row.percent_i3) == list(row.rank) == keys
 
 
 def test_percentiles_for_set_returns_a_fresh_list(worked_assignment):

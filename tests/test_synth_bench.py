@@ -325,6 +325,7 @@ TWO_SETS = [{"set_id": "A", "n": 10, "uncited_share": 0.5}, {"set_id": "B", "n":
         ({"scope": "per-set-and-doc-type"},
          "key 'scope': 'per-set-and-doc-type' needs a doc_type, which generated sets lack"),
         ({"sets": TWO_SETS[:1]}, "key 'sets' must hold at least 2 sets, got 1"),
+        ({"rule": ["quantile"], "seed": 3}, "unknown keys ['rule', 'seed']"),
     ],
 )
 def test_config_errors_name_the_file_and_the_key(tmp_path, extra, message):
