@@ -103,11 +103,18 @@ def cmd_ztest(args: argparse.Namespace) -> int:
             raise _UsageError("use either --input with set ids or --k1/--n1/--k2/--n2, not both")
         if args.set_a is None or args.set_b is None:
             raise _UsageError("dataset mode requires --set-a and --set-b")
+        threshold = TOP_SHARE_THRESHOLD if args.threshold is None else args.threshold
         dataset = load_records(args.input)
-        assignment = compute_percentiles(dataset.records, args.rule, args.scope)
-        k1, n1 = top_count(assignment, args.set_a, args.threshold)
-        k2, n2 = top_count(assignment, args.set_b, args.threshold)
+        assignment = compute_percentiles(dataset.records, args.rule or PercentileRule.QUANTILE,
+                                         args.scope or ReferenceScope.GLOBAL_POOL)
+        k1, n1 = top_count(assignment, args.set_a, threshold)
+        k2, n2 = top_count(assignment, args.set_b, threshold)
     else:
+        dataset_flags = {"--set-a": args.set_a, "--set-b": args.set_b, "--threshold": args.threshold,
+                         "--rule": args.rule, "--scope": args.scope}
+        given = [flag for flag, value in dataset_flags.items() if value is not None]
+        if given:
+            raise _UsageError(f"{given[0]} needs --input (dataset mode)")
         if any(flag is None for flag in count_flags):
             raise _UsageError("count mode requires all of --k1 --n1 --k2 --n2")
         k1, n1, k2, n2 = count_flags
@@ -184,11 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     ztest.add_argument("--input", help="dataset mode: derive counts from two sets")
     ztest.add_argument("--set-a", help="first set id (dataset mode)")
     ztest.add_argument("--set-b", help="second set id (dataset mode)")
-    ztest.add_argument("--threshold", type=float, default=TOP_SHARE_THRESHOLD,
-                       help="success = paper at/above this percentile (dataset mode)")
-    ztest.add_argument("--rule", type=rule, default=PercentileRule.QUANTILE,
-                       help="counting rule for dataset mode")
-    ztest.add_argument("--scope", type=scope, default=ReferenceScope.GLOBAL_POOL)
+    ztest.add_argument("--threshold", type=float,
+                       help="success = paper at/above this percentile (dataset mode); default 90")
+    ztest.add_argument("--rule", type=rule, help="counting rule (dataset mode); default quantile")
+    ztest.add_argument("--scope", type=scope, help="reference group (dataset mode); default global")
     ztest.add_argument("--one-sided", action="store_true",
                        help="also print the one-sided p-value")
     ztest.set_defaults(func=cmd_ztest)

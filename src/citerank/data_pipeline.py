@@ -15,7 +15,7 @@ import json
 import re
 import sys
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
@@ -271,11 +271,12 @@ def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport
     the tally's set index (``tally.rows_by_set``): the set's size is its
     number of tally rows, its citation total the sum of their counts, and
     its top-share is taken at the 90th percentile. Each (rule, scheme)
-    pass then writes its I3, %I3 and rank into every row. One rule's
-    assignment is alive at a time. Deterministic for any input ordering.
+    pass then writes its I3, %I3 and rank into every row; a repeated rule
+    is computed once, and its columns repeat. One rule's assignment is
+    alive at a time. Deterministic for any input ordering.
     """
     rows: list[SetReport] = []
-    for rule in config.rules:
+    for rule in dict.fromkeys(config.rules):
         assignment = compute_percentiles(dataset.records, rule, config.scope)
         if not rows:
             counts = [count for count, _, _, _ in assignment.tally.rows]
@@ -335,43 +336,16 @@ def _csv_line(cells: Sequence[str]) -> str:
     return ",".join([_first_cell(cells[0]), *map(_cell, cells[1:])]) + "\n"
 
 
-def _render(
-    fmt: str,
-    payload: Callable[[], object] | None,
-    title: str,
-    tables: Sequence[tuple[str | None, Sequence[str], Iterable[Sequence[str]]]],
-    lines: Iterable[str] | None = None,
-) -> str:
-    """Render one report in one of :data:`FORMATS`.
+def _report(fmt: str, title: str, lines: Iterable[str]) -> str:
+    """A delimited or aligned report: its leader, then the newline-terminated ``lines``.
 
-    ``payload`` builds the JSON document and is called for ``json`` only.
-    ``tables`` holds (caption, columns, rows) sections: ``delimited``
-    writes them all, one :func:`_csv_line` per row, after the ``#
-    citerank-i3 <version>`` leader, each captioned section under a ``#
-    <caption>`` line. The aligned form prints the program name and
-    ``title``, a blank line, then every section laid out by
-    :func:`_aligned_lines`. ``lines``, if given, are the newline-terminated
-    body lines of ``fmt``, written after the leader or title in place of
-    the sections.
+    The delimited leader is ``# citerank-i3 <version>``; the aligned one is the
+    program name and ``title``, then a blank line.
     """
     _check_format(fmt)
-    if fmt == "json":
-        return json.dumps(payload(), indent=2) + "\n"
     buffer = io.StringIO()
-    if fmt == "aligned":
-        buffer.write(f"citerank-i3 {__version__} {title}\n\n")
-    else:
-        buffer.write(f"# citerank-i3 {__version__}\n")
-    if lines is not None:
-        buffer.writelines(lines)
-    elif fmt == "aligned":
-        for _, columns, rows in tables:
-            buffer.writelines(_aligned_lines(columns, rows))
-    else:
-        for caption, columns, rows in tables:
-            if caption is not None:
-                buffer.write(f"# {caption}\n")
-            buffer.writelines(map(_csv_line, chain([columns], rows)))
+    buffer.write(f"citerank-i3 {__version__} {title}\n\n" if fmt == "aligned" else f"# citerank-i3 {__version__}\n")
+    buffer.writelines(lines)
     return buffer.getvalue()
 
 
@@ -383,6 +357,16 @@ def emit_ranking_table(report: RankingReport, fmt: str = "delimited") -> str:
     """
     if not report.rows:
         raise ValueError("empty report")
+    if fmt == "json":
+        document = {
+            "version": __version__,
+            "rules": [rule.token for rule in report.rules],
+            "schemes": [scheme.label for scheme in report.schemes],
+            "scope": report.scope.token,
+            "top_share_threshold": TOP_SHARE_THRESHOLD,
+            "rows": [row._asdict() for row in report.rows],
+        }
+        return json.dumps(document, indent=2) + "\n"
     keys = [pair_key(rule, scheme) for rule in report.rules for scheme in report.schemes]
     columns = ["set_id", "n_papers", "total_citations"]
     columns += [f"{prefix}_{key}" for key in keys for prefix in ("pI3", "rank")] + ["top_share"]
@@ -392,19 +376,8 @@ def emit_ranking_table(report: RankingReport, fmt: str = "delimited") -> str:
         + [f"{row.top_share:.6f}"]
         for row in report.rows
     ]
-
-    def payload() -> dict[str, object]:
-        return {
-            "version": __version__,
-            "rules": [rule.token for rule in report.rules],
-            "schemes": [scheme.label for scheme in report.schemes],
-            "scope": report.scope.token,
-            "top_share_threshold": TOP_SHARE_THRESHOLD,
-            "rows": [row._asdict() for row in report.rows],
-        }
-
-    title = f"ranking report (scope: {report.scope.token})"
-    return _render(fmt, payload, title, [(None, columns, rows)])
+    lines = _aligned_lines(columns, rows) if fmt == "aligned" else map(_csv_line, [columns, *rows])
+    return _report(fmt, f"ranking report (scope: {report.scope.token})", lines)
 
 
 def parse_ranking_table(text: str) -> list[dict[str, object]]:
@@ -500,10 +473,10 @@ def emit_paper_percentiles(
     row_cells = list(zip(map(str, counts), *([format(value, ".6f") for value in values] for values in row_values)))
     if fmt == "aligned":
         rows = ((set_ids[i], paper_ids[i], *row_cells[row_of[i]]) for i in order)
-        return _render(fmt, None, title, [(None, header, rows)])
+        return _report(fmt, title, _aligned_lines(header, rows))
     set_cells = {set_id: _first_cell(set_id) + "," for set_id in set(set_ids)}
     # paper_ids are distinct, and never a line's first cell: encode them only when one needs quoting
     paper_cells = paper_ids if _QUOTED.search("".join(paper_ids)) is None else list(map(_cell, paper_ids))
     tails = ["," + ",".join(cells) + "\n" for cells in row_cells]
     lines = (f"{set_cells[set_ids[i]]}{paper_cells[i]}{tails[row_of[i]]}" for i in order)
-    return _render(fmt, None, title, (), chain([_csv_line(header)], lines))
+    return _report(fmt, title, chain([_csv_line(header)], lines))

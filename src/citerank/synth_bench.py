@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from ._version import __version__
 from .data_pipeline import AnalysisConfig, InputDataset, RankingReport, pair_key, run_analysis
-from .data_pipeline import _aligned_lines, _render
+from .data_pipeline import _aligned_lines, _csv_line, _report
 from .indicator_core import (
     P100,
     CitationTable,
@@ -301,33 +301,39 @@ def override_seeds(config: ExperimentConfig, base_seed: int) -> ExperimentConfig
 
 def emit_divergence(result: DivergenceResult, fmt: str = "delimited") -> str:
     """Render a divergence result as sectioned CSV, aligned text, or JSON."""
+    if fmt == "json":
+        return json.dumps(result.to_dict(), indent=2) + "\n"
     tokens = [rule.token for rule in result.rules]
     n_sets = len(result.set_order)
     matrices = (("pearson", result.pearson), ("spearman", result.spearman))
-    tables = [
-        ("percent_i3", ["set_id"] + tokens, (
-            [set_id] + [f"{result.percent_i3[token][position]:.6f}" for token in tokens]
-            for position, set_id in enumerate(result.set_order)
-        )),
-        ("correlations", ["metric", "rule_a", "rule_b", "coefficient", "n"], (
-            [metric, tokens[i], tokens[j], f"{matrix[i][j]:.6f}", str(n_sets)]
-            for metric, matrix in matrices
-            for i, j in combinations(range(len(tokens)), 2)
-        )),
-        ("top_ranked", ["rule", "set_id"], ([token, result.top_set[token]] for token in tokens)),
-    ]
-    width = max(len(token) for token in tokens)
-    column = max(width, 10)  # cells are padded to one width shared by every matrix column
-    aligned: list[str] = []
-    for metric, matrix in matrices:
-        header = [""] + [token.rjust(column) for token in tokens]
-        rows = [[token] + [f"{value:{column}.6f}" for value in row] for token, row in zip(tokens, matrix)]
-        aligned.append(f"{metric.capitalize()} correlation of percent-I3:\n")
-        aligned += _aligned_lines(header, rows) + ["\n"]
-    aligned.append("Top-ranked set per rule:\n")
-    aligned += [f"  {token.ljust(width)}  {result.top_set[token]}\n" for token in tokens]
-    title = f"rule divergence over {n_sets} sets"
-    return _render(fmt, result.to_dict, title, tables, aligned if fmt == "aligned" else None)
+    lines: list[str] = []
+    if fmt == "aligned":
+        width = max(len(token) for token in tokens)
+        column = max(width, 10)  # cells are padded to one width shared by every matrix column
+        for metric, matrix in matrices:
+            header = [""] + [token.rjust(column) for token in tokens]
+            rows = [[token] + [f"{value:{column}.6f}" for value in row] for token, row in zip(tokens, matrix)]
+            lines.append(f"{metric.capitalize()} correlation of percent-I3:\n")
+            lines += _aligned_lines(header, rows) + ["\n"]
+        lines.append("Top-ranked set per rule:\n")
+        lines += [f"  {token.ljust(width)}  {result.top_set[token]}\n" for token in tokens]
+    else:
+        sections = [
+            ("percent_i3", ["set_id"] + tokens, (
+                [set_id] + [f"{result.percent_i3[token][position]:.6f}" for token in tokens]
+                for position, set_id in enumerate(result.set_order)
+            )),
+            ("correlations", ["metric", "rule_a", "rule_b", "coefficient", "n"], (
+                [metric, tokens[i], tokens[j], f"{matrix[i][j]:.6f}", str(n_sets)]
+                for metric, matrix in matrices
+                for i, j in combinations(range(len(tokens)), 2)
+            )),
+            ("top_ranked", ["rule", "set_id"], ([token, result.top_set[token]] for token in tokens)),
+        ]
+        for caption, columns, rows in sections:
+            lines.append(f"# {caption}\n")
+            lines += map(_csv_line, [columns, *rows])
+    return _report(fmt, f"rule divergence over {n_sets} sets", lines)
 
 
 def fixture_path(name: str) -> Path:

@@ -287,6 +287,23 @@ def test_ztest_incomplete_count_mode(capsys):
     assert "count mode requires" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--set-a", "A"), ("--set-b", "B"), ("--threshold", "50"), ("--rule", "rousseau-raw"), ("--scope", "per-set")],
+)
+def test_ztest_count_mode_rejects_a_dataset_flag(capsys, flag, value):
+    code, out, err = run_cli(capsys, "ztest", "--k1", "1", "--n1", "10", "--k2", "2", "--n2", "10", flag, value)
+    assert (code, out, err) == (2, "", f"error: {flag} needs --input (dataset mode)\n")
+
+
+def test_ztest_dataset_mode_takes_a_zero_threshold(capsys, multi_csv):
+    # at threshold 0 every paper succeeds, so both proportions are 1
+    code, out, err = run_cli(capsys, "ztest", "--input", multi_csv, "--set-a", "A", "--set-b", "C", "--threshold", "0")
+    assert (code, out) == (1, "") and "degenerate proportions" in err
+    code, out, err = run_cli(capsys, "ztest", "--input", multi_csv, "--set-a", "A", "--set-b", "C")
+    assert code == 0 and out.startswith("z=")
+
+
 def test_ztest_dataset_mode_matches_count_mode(capsys, tmp_path):
     rows = ["set_id,paper_id,citations"]
     rows += [f"A,a{i},{i}" for i in range(20)]

@@ -414,6 +414,24 @@ def test_emit_unknown_format(report):
         emit_ranking_table(report, "yaml")
 
 
+def test_an_empty_report_is_named_before_an_unknown_format(report):
+    empty = RankingReport((), report.rules, report.schemes, report.scope)
+    with pytest.raises(ValueError, match=r"^empty report$"):
+        emit_ranking_table(empty, "yaml")
+
+
+def test_every_emitter_names_an_unknown_format_and_the_known_ones(report):
+    message = "^" + re.escape("unknown format 'yaml' (expected one of: delimited, aligned, json)") + "$"
+    with pytest.raises(ValueError, match=message):
+        emit_ranking_table(report, "yaml")
+    with pytest.raises(ValueError, match=message):
+        emit_paper_percentiles(_dataset(TWO_SET_CSV), (QUANTILE,), ReferenceScope.PER_SET, "yaml")
+    with pytest.raises(ValueError, match=message):
+        emit_paper_percentiles(_dataset(TWO_SET_CSV), (), ReferenceScope.PER_SET, "yaml")
+    with pytest.raises(ValueError, match=message):
+        emit_divergence(divergence_from_report(report, P100), "yaml")
+
+
 def test_paper_percentile_table():
     dataset = _dataset(TWO_SET_CSV)
     text = emit_paper_percentiles(dataset, (QUANTILE, PercentileRule.LB09))
@@ -590,6 +608,21 @@ def test_run_analysis_tallies_once_per_rule(monkeypatch):
     report = run_analysis(_dataset(TWO_SET_CSV), AnalysisConfig(rules, (P100, NSF6, TOP10)))
     assert calls == list(rules)
     assert len(report.rows) == 2
+
+
+def test_run_analysis_computes_a_repeated_rule_once(monkeypatch):
+    dataset = load_records(fixture_path("reviews10.csv"))
+    single = emit_ranking_table(run_analysis(dataset, AnalysisConfig((QUANTILE,), (P100, NSF6))))
+    calls = _count_tallies(monkeypatch)
+    report = run_analysis(dataset, AnalysisConfig((QUANTILE, QUANTILE, QUANTILE), (P100, NSF6)))
+    assert calls == [QUANTILE]
+    assert report.rules == (QUANTILE, QUANTILE, QUANTILE)
+    # each line holds the single-rule line's four pI3/rank cells three times over
+    expected = []
+    for line in single.splitlines():
+        cells = line.split(",")
+        expected.append(",".join(cells[:3] + cells[3:7] * 3 + cells[7:]) if len(cells) > 1 else line)
+    assert emit_ranking_table(report).splitlines() == expected
 
 
 @pytest.mark.parametrize("fmt", ["delimited", "aligned", "json"])
