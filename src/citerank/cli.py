@@ -27,6 +27,7 @@ from .indicator_core import (
 )
 from .rank_stats import ztest_proportions
 from .synth_bench import (
+    DivergenceResult,
     divergence_from_report,
     emit_divergence,
     fixture_path,
@@ -69,6 +70,13 @@ def _write(text: str, output: str | None) -> None:
         Path(output).write_text(text, encoding="utf-8")
 
 
+def _write_divergence(result: DivergenceResult, fmt: str) -> None:
+    """Write a divergence report to stdout, after a stderr warning when it correlates only 2 sets."""
+    if len(result.set_order) == 2:
+        print("warning: correlations over 2 sets are degenerate", file=sys.stderr)
+    _write(emit_divergence(result, fmt), None)
+
+
 def cmd_rank(args: argparse.Namespace) -> int:
     rules = _distinct("rule", args.rule or [PercentileRule.QUANTILE], "token")
     schemes = _distinct("scheme", args.scheme or [P100], "label")
@@ -87,12 +95,8 @@ def cmd_compare_rules(args: argparse.Namespace) -> int:
     if len(rules) < 2:
         raise _UsageError("compare-rules needs at least 2 distinct --rule flags")
     dataset = load_records(args.input)
-    config = AnalysisConfig(rules, (args.scheme,), args.scope)
-    report = run_analysis(dataset, config)
-    result = divergence_from_report(report, args.scheme)
-    if len(result.set_order) == 2:
-        print("warning: correlations over 2 sets are degenerate", file=sys.stderr)
-    _write(emit_divergence(result, args.format), None)
+    report = run_analysis(dataset, AnalysisConfig(rules, (args.scheme,), args.scope))
+    _write_divergence(divergence_from_report(report, args.scheme), args.format)
     return 0
 
 
@@ -146,7 +150,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.seed is not None:
         config = override_seeds(config, args.seed)
     result = run_divergence_experiment(config.sets, config.rules, config.scheme, config.scope)
-    _write(emit_divergence(result, args.format), None)
+    _write_divergence(result, args.format)
     return 0
 
 

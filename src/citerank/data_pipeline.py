@@ -272,8 +272,8 @@ def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport
     number of tally rows, its citation total the sum of their counts, and
     its top-share is taken at the 90th percentile. Each (rule, scheme)
     pass then writes its I3, %I3 and rank into every row; a repeated rule
-    is computed once, and its columns repeat. One rule's assignment is
-    alive at a time. Deterministic for any input ordering.
+    or scheme is computed once, and its columns repeat. One rule's
+    assignment is alive at a time. Deterministic for any input ordering.
     """
     rows: list[SetReport] = []
     for rule in dict.fromkeys(config.rules):
@@ -285,7 +285,7 @@ def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport
                           top_share(assignment, set_id, TOP_SHARE_THRESHOLD))
                 for set_id, tally_rows in sorted(assignment.tally.rows_by_set.items())
             ]
-        for scheme in config.schemes:
+        for scheme in dict.fromkeys(config.schemes):
             key = pair_key(rule, scheme)
             i3_by_set = {row.set_id: i3(assignment, scheme, row.set_id) for row in rows}
             shares = percent_i3(i3_by_set)
@@ -430,21 +430,21 @@ def emit_paper_percentiles(
     Rows are sorted by (set_id, paper_id) so equal inputs emit equal bytes.
     Every paper in one row of the shared tally (one reference group and
     citation count) holds the same count and percentiles, so the table is
-    rendered from the tally: each rule gives only its ``row_values``, the
-    numeric cells are formatted once per tally row, and each paper's line
-    is built from its set_id and paper_id cells and the cells of its row,
-    in one walk over the sorted record order. The delimited form joins
-    each row's cells into one text tail; the aligned form hands the rows
-    to :func:`_aligned_lines`; the json form writes each row's citations
-    and percentiles once, laid out as ``json.dumps(..., indent=2)`` would.
+    rendered from the tally: each distinct rule gives its ``row_values``
+    once, the numeric cells are formatted once per tally row, and each
+    paper's line is built from its set_id and paper_id cells and the cells
+    of its row, in one walk over the sorted record order. The delimited
+    form joins each row's cells into one text tail; the aligned form hands
+    the rows to :func:`_aligned_lines`; the json form writes each row's
+    citations and percentiles once, as ``json.dumps(..., indent=2)`` would.
     """
     table = dataset.records
     _check_format(fmt)
     if not rules:
         raise ValueError("at least one rule required")
-    assignments = [compute_percentiles(table, rule, scope) for rule in rules]
-    tally = assignments[0].tally  # every rule's assignment over the table and scope shares it
-    row_values = [assignment.row_values for assignment in assignments]
+    assignments = {rule: compute_percentiles(table, rule, scope) for rule in dict.fromkeys(rules)}
+    tally = assignments[rules[0]].tally  # every rule's assignment over the table and scope shares it
+    row_values = [assignments[rule].row_values for rule in rules]
     set_ids, paper_ids, row_of = table.set_ids, table.paper_ids, tally.row_of
     counts = [count for count, _, _, _ in tally.rows]
     # Sorting after the tally keeps the index list out of the tally's peak memory.

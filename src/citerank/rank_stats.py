@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -79,19 +80,9 @@ def pearson_r(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
 
 
 def _average_ranks(values: Sequence[float]) -> list[float]:
-    """1-based ranks; ties share the mean of their positional ranks."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mean_rank = (i + j + 2) / 2.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of the positions their block spans in sorted order."""
+    ordered = sorted(values)
+    return [(bisect_left(ordered, v) + bisect_right(ordered, v) + 1) / 2 for v in values]
 
 
 def spearman_rho(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:

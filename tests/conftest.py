@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
 from citerank import CitationRecord, ReferenceScope
+
+# The one exact oracle lives beside the benchmark and imports nothing from citerank.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from oracle import group_percentiles  # noqa: E402
 
 # `--hypothesis-profile=thorough` runs each property on many more examples (a CI step uses it)
 settings.register_profile("thorough", max_examples=2000)
@@ -15,6 +22,21 @@ GROUP_OF_SCOPE = {
     ReferenceScope.PER_DOC_TYPE_POOL: lambda record: record.doc_type,
     ReferenceScope.PER_SET_AND_DOC_TYPE: lambda record: (record.set_id, record.doc_type),
 }
+
+
+def exact_percentiles(records, scope):
+    """paper_id -> rule token -> each record's exact percentile (a Fraction) within its group under ``scope``."""
+    group_of = GROUP_OF_SCOPE[scope]
+    groups = {}
+    for record in records:
+        groups.setdefault(group_of(record), []).append(record.citations)
+    exact = {key: group_percentiles(counts) for key, counts in groups.items()}
+    return {record.paper_id: exact[group_of(record)][record.citations] for record in records}
+
+
+def oracle_entries(records, rule, scope=ReferenceScope.PER_SET):
+    """paper_id -> percentile under ``rule`` (a :class:`citerank.PercentileRule`), the exact value rounded once."""
+    return {paper_id: float(values[rule.token]) for paper_id, values in exact_percentiles(records, scope).items()}
 
 
 def table_rows(table, as_records=False):

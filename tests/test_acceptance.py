@@ -31,7 +31,7 @@ from citerank import (
     run_divergence_experiment,
     ztest_proportions,
 )
-from exact_oracle import oracle_entries
+from conftest import oracle_entries
 
 QUANTILE = PercentileRule.QUANTILE
 LB09 = PercentileRule.LB09

@@ -9,7 +9,6 @@ import io
 import json
 import math
 import random
-from collections import defaultdict
 
 import pytest
 from hypothesis import given
@@ -37,8 +36,7 @@ from citerank import (
     top_count,
 )
 from citerank.cli import main
-from conftest import GROUP_OF_SCOPE, table_rows
-from exact_oracle import exact_percentile
+from conftest import oracle_entries, table_rows
 
 QUANTILE = PercentileRule.QUANTILE
 
@@ -132,7 +130,7 @@ multi_set_doc_rows = st.lists(
 
 
 @given(rows=multi_set_doc_rows, seed=st.integers(min_value=0, max_value=2**16))
-def test_table_tally_matches_a_shuffled_list_and_the_exact_oracle(rows, seed):
+def test_table_tally_matches_a_shuffled_list_and_the_oracle(rows, seed):
     text = _csv_text((set_id, f"p{i}", count, doc_type) for i, (set_id, count, doc_type) in enumerate(rows))
     table = parse_records(io.StringIO(text)).records
     shuffled = table_rows(table, as_records=True)
@@ -148,13 +146,7 @@ def test_table_tally_matches_a_shuffled_list_and_the_exact_oracle(rows, seed):
         assert from_table.group_keys == from_list.group_keys
         for set_id in set(table.set_ids):
             assert sorted(from_table.percentiles_for_set(set_id)) == sorted(from_list.percentiles_for_set(set_id))
-        group_of = GROUP_OF_SCOPE[scope]
-        groups = defaultdict(list)
-        for record in shuffled:
-            groups[group_of(record)].append(record.citations)
-        for record in shuffled:
-            exact = exact_percentile(record.citations, groups[group_of(record)], rule.token)
-            assert from_table.entries[record.paper_id] == float(exact)
+        assert from_table.entries == oracle_entries(shuffled, rule, scope)
 
 
 def _count_tallies(monkeypatch):

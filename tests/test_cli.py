@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import citerank
-from citerank import fixture_path
+from citerank import emit_divergence, fixture_path, load_experiment_config, run_divergence_experiment
 from citerank.cli import main
 
 REVIEWS = str(fixture_path("reviews10.csv"))
@@ -243,6 +243,17 @@ def test_divergence_delimited_quotes_set_ids(capsys, tmp_path):
     assert ["quantile", "A,x"] in sections["top_ranked"]
 
 
+def test_simulate_two_sets_warns_as_compare_rules_does(capsys, tmp_path):
+    config = {"sets": [{"set_id": "A", "n": 40, "uncited_share": 0.1, "seed": 1},
+                       {"set_id": "B", "n": 30, "uncited_share": 0.5, "seed": 2}]}
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(config))
+    loaded = load_experiment_config(path)
+    report = emit_divergence(run_divergence_experiment(loaded.sets, loaded.rules, loaded.scheme, loaded.scope))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert (code, out, err) == (0, report, "warning: correlations over 2 sets are degenerate\n")
+
+
 # --- ztest ------------------------------------------------------------------------
 
 def test_ztest_count_mode(capsys):
@@ -294,6 +305,20 @@ def test_ztest_incomplete_count_mode(capsys):
 def test_ztest_count_mode_rejects_a_dataset_flag(capsys, flag, value):
     code, out, err = run_cli(capsys, "ztest", "--k1", "1", "--n1", "10", "--k2", "2", "--n2", "10", flag, value)
     assert (code, out, err) == (2, "", f"error: {flag} needs --input (dataset mode)\n")
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--set-a", "A", "--set-b", "B", "--k1", "1"],
+         "use either --input with set ids or --k1/--n1/--k2/--n2, not both"),
+        (["--set-a", "A"], "dataset mode requires --set-a and --set-b"),
+    ],
+    ids=["input-and-counts", "one-set-id"],
+)
+def test_ztest_dataset_mode_usage_errors(capsys, multi_csv, flags, message):
+    code, out, err = run_cli(capsys, "ztest", "--input", multi_csv, *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_ztest_dataset_mode_takes_a_zero_threshold(capsys, multi_csv):

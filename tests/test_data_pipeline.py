@@ -35,13 +35,11 @@ from citerank import (
     parse_ranking_table,
     parse_records,
     percent_i3,
-    percentile_of,
     run_analysis,
     top_share,
 )
 from citerank import __version__, data_pipeline
-from conftest import GROUP_OF_SCOPE, table_rows
-from exact_oracle import oracle_entries
+from conftest import exact_percentiles, oracle_entries, table_rows
 
 QUANTILE = PercentileRule.QUANTILE
 
@@ -182,11 +180,9 @@ def test_two_identical_sets_split_evenly():
 def test_pooled_fixture_matches_oracle():
     dataset = _dataset(TWO_SET_CSV)
     report = run_analysis(dataset, AnalysisConfig((QUANTILE,), (P100,)))
-    # same 10 counts pooled into a single reference set, scored by the
-    # pairwise-comparison oracle
+    # the 10 counts in one global reference group, scored by the exact oracle
     records = table_rows(dataset.records, as_records=True)
-    pooled = [CitationRecord("pool", record.paper_id, record.citations) for record in records]
-    oracle = oracle_entries(pooled, QUANTILE)
+    oracle = oracle_entries(records, QUANTILE, ReferenceScope.GLOBAL_POOL)
     by_set: dict[str, list[float]] = {"A": [], "B": []}
     for record in records:
         by_set[record.set_id].append(oracle[record.paper_id])
@@ -458,29 +454,9 @@ paper_rows = st.lists(
     max_size=30,
 )
 
-def _expected_paper_table(records, scope):
-    """(set_id, paper_id, citations, {rule: percentile}) rows, straight from percentile_of."""
-    group_of = GROUP_OF_SCOPE[scope]
-    groups: dict[object, list[int]] = {}
-    for record in records:
-        groups.setdefault(group_of(record), []).append(record.citations)
-    return [
-        (
-            record.set_id,
-            record.paper_id,
-            record.citations,
-            {
-                rule: percentile_of(record.citations, groups[group_of(record)], rule)
-                for rule in PercentileRule
-            },
-        )
-        for record in sorted(records, key=lambda record: (record.set_id, record.paper_id))
-    ]
-
-
 @settings(deadline=None)
 @given(rows=paper_rows)
-def test_paper_table_matches_percentile_of_in_every_scope_and_format(rows):
+def test_paper_table_matches_the_oracle_in_every_scope_and_format(rows):
     records = tuple(
         CitationRecord(set_id, f"{len(rows) - i:02d}{suffix}", count, doc_type)
         for i, (set_id, suffix, count, doc_type) in enumerate(rows)
@@ -490,7 +466,13 @@ def test_paper_table_matches_percentile_of_in_every_scope_and_format(rows):
     tokens = [rule.token for rule in rules]
     header = ["set_id", "paper_id", "citations"] + [f"pct_{token}" for token in tokens]
     for scope in ReferenceScope:
-        expected = _expected_paper_table(records, scope)
+        # (set_id, paper_id, citations, {rule: exact percentile rounded once}) in (set_id, paper_id) order
+        exact = exact_percentiles(records, scope)
+        expected = [
+            (record.set_id, record.paper_id, record.citations,
+             {rule: float(exact[record.paper_id][rule.token]) for rule in rules})
+            for record in sorted(records, key=lambda record: (record.set_id, record.paper_id))
+        ]
         cells = [
             [set_id, paper_id, str(count)] + [f"{values[rule]:.6f}" for rule in rules]
             for set_id, paper_id, count, values in expected
@@ -625,12 +607,39 @@ def test_run_analysis_computes_a_repeated_rule_once(monkeypatch):
     assert emit_ranking_table(report).splitlines() == expected
 
 
+def test_run_analysis_computes_a_repeated_scheme_once(monkeypatch):
+    dataset = load_records(fixture_path("reviews10.csv"))
+    single = run_analysis(dataset, AnalysisConfig((QUANTILE,), (P100,)))
+    calls = []
+
+    def counting(assignment, scheme, set_id):
+        calls.append((scheme, set_id))
+        return i3(assignment, scheme, set_id)
+
+    monkeypatch.setattr(data_pipeline, "i3", counting)
+    report = run_analysis(dataset, AnalysisConfig((QUANTILE,), (P100, P100)))
+    assert calls == [(P100, "reviews")]
+    assert report.rows == single.rows and report.schemes == (P100, P100)
+
+
 @pytest.mark.parametrize("fmt", ["delimited", "aligned", "json"])
 def test_paper_table_tallies_once_per_rule(monkeypatch, fmt):
     calls = _count_tallies(monkeypatch)
     rules = (PercentileRule.LB09, QUANTILE, PercentileRule.ROUSSEAU_REVISED)
     emit_paper_percentiles(_dataset(TWO_SET_CSV), rules, ReferenceScope.PER_SET, fmt)
     assert calls == list(rules)
+
+
+def test_paper_table_computes_a_repeated_rule_once(monkeypatch):
+    dataset = load_records(fixture_path("reviews10.csv"))
+    single = emit_paper_percentiles(dataset, (QUANTILE,))
+    calls = _count_tallies(monkeypatch)
+    for fmt in ("delimited", "aligned", "json"):
+        emit_paper_percentiles(dataset, (QUANTILE,) * 3, fmt=fmt)
+    assert calls == [QUANTILE] * 3
+    # each line holds the single-rule line's percentile cell three times over
+    lines = [line + line[line.rindex(","):] * 2 if "," in line else line for line in single.splitlines()]
+    assert emit_paper_percentiles(dataset, (QUANTILE,) * 3).splitlines() == lines
 
 
 # --- malformed input never escapes as anything but ValueError ---------------------

@@ -31,8 +31,7 @@ from citerank import (
     top_share,
 )
 from citerank.indicator_core import _rule_value
-from conftest import GROUP_OF_SCOPE, make_records
-from exact_oracle import exact_percentile, oracle_entries
+from conftest import group_percentiles, make_records, oracle_entries
 
 RULES = list(PercentileRule)
 
@@ -372,17 +371,21 @@ def test_oracle_examples(worked_set):
     assert raw == {"a0": 100.0, "a1": 100.0, "a2": 100.0}
     revised = oracle_entries(make_records([0]), PercentileRule.ROUSSEAU_REVISED)
     assert revised == {"a0": 0.0}
-    assert exact_percentile(1, [0, 1, 2], "lb09") == Fraction(190, 3)
+    assert group_percentiles([0, 1, 2])[1]["lb09"] == Fraction(190, 3)
 
 
 @given(group=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=50), data=st.data())
-def test_exact_oracle_agrees_with_scipy_percentileofscore(group, data):
-    # scipy multiplies by a rounded 100/n, so it agrees to within rounding, not bit for bit
+def test_oracle_agrees_with_scipy_percentileofscore_and_percentile_of(group, data):
+    # scipy multiplies by a rounded 100/n, so it agrees to within rounding, not bit for bit;
+    # percentile_of divides once, so it equals the exact value rounded once
     score = data.draw(st.sampled_from(group))
+    exact = group_percentiles(group)[score]
     strict = percentileofscore(group, score, kind="strict")
     weak = percentileofscore(group, score, kind="weak")
-    assert float(exact_percentile(score, group, "quantile")) == pytest.approx(strict, rel=1e-12, abs=1e-12)
-    assert float(exact_percentile(score, group, "rousseau-raw")) == pytest.approx(weak, rel=1e-12, abs=1e-12)
+    assert float(exact["quantile"]) == pytest.approx(strict, rel=1e-12, abs=1e-12)
+    assert float(exact["rousseau-raw"]) == pytest.approx(weak, rel=1e-12, abs=1e-12)
+    for rule in RULES:
+        assert percentile_of(score, group, rule) == float(exact[rule.token])
 
 
 @pytest.mark.parametrize("rule", RULES)
@@ -515,15 +518,10 @@ def test_compute_percentiles_and_set_index_match_brute_force(rows):
         for i, (set_id, count, doc_type) in enumerate(rows)
     ]
     set_ids = {record.set_id for record in records}
-    for scope, group_key in GROUP_OF_SCOPE.items():
-        groups = {}
-        for record in records:
-            groups.setdefault(group_key(record), []).append(record.citations)
+    for scope in ReferenceScope:
         for rule in RULES:
             assignment = compute_percentiles(records, rule, scope)
-            for record in records:
-                expected = percentile_of(record.citations, groups[group_key(record)], rule)
-                assert assignment.entries[record.paper_id] == expected
+            assert assignment.entries == oracle_entries(records, rule, scope)
             for set_id in set_ids:
                 brute = [assignment.entries[record.paper_id] for record in records if record.set_id == set_id]
                 assert sorted(assignment.percentiles_for_set(set_id)) == sorted(brute)
@@ -554,18 +552,13 @@ top_schemes = st.one_of(st.integers(1, 99).map(str), st.integers(1, 10**6 - 1).m
 @given(records=shuffled_tables(), top=top_schemes, data=st.data())
 def test_set_aggregates_equal_a_per_paper_reference(records, top, data):
     set_ids = sorted({record.set_id for record in records})
-    for scope, group_key in GROUP_OF_SCOPE.items():
-        groups = {}
-        for record in records:
-            groups.setdefault(group_key(record), []).append(record.citations)
+    for scope in ReferenceScope:
         for rule in RULES:
             assignment = compute_percentiles(records, rule, scope)
+            # the reference: each paper's exact percentile, rounded once, in table order
+            oracle = oracle_entries(records, rule, scope)
             for set_id in set_ids:
-                # the reference: each paper's exact percentile, rounded once, in table order
-                values = [
-                    float(exact_percentile(record.citations, groups[group_key(record)], rule.token))
-                    for record in records if record.set_id == set_id
-                ]
+                values = [oracle[record.paper_id] for record in records if record.set_id == set_id]
                 assert assignment.percentiles_for_set(set_id) == values
                 for scheme in (P100, NSF6, top):
                     weights = [classify(value, scheme) for value in values]
@@ -585,14 +578,11 @@ def test_report_rows_equal_a_per_record_reference(records, rules):
     schemes = (NSF6, TOP10)
     keys = list(dict.fromkeys(f"{rule.token}_{scheme.label}" for rule in rules for scheme in schemes))
     dataset = InputDataset(records)
-    for scope, group_key in GROUP_OF_SCOPE.items():
-        groups = {}
-        for record in records:
-            groups.setdefault(group_key(record), []).append(record.citations)
+    for scope in ReferenceScope:
+        oracle = oracle_entries(records, rules[0], scope)
         by_set = {}
         for record in records:
-            value = float(exact_percentile(record.citations, groups[group_key(record)], rules[0].token))
-            by_set.setdefault(record.set_id, []).append((record.citations, value))
+            by_set.setdefault(record.set_id, []).append((record.citations, oracle[record.paper_id]))
         weight = {set_id: sum(classify(value, NSF6) for _, value in papers) for set_id, papers in by_set.items()}
         report = run_analysis(dataset, AnalysisConfig(tuple(rules), schemes, scope))
         assert [row.set_id for row in report.rows] == sorted(by_set, key=lambda set_id: (-weight[set_id], set_id))

@@ -138,11 +138,17 @@ def test_spearman_reversal():
 
 
 def test_spearman_matches_scipy_with_ties():
+    # one tie block at the bottom, blocks at both ends, and -0.0 tied with 0.0
+    cases = [
+        ([0, 0, 0, 1], [1, 2, 3, 4]),
+        ([2, 1, 2, 1, 3, 3], [5, 5, 1, 1, 1, 0]),
+        ([0.0, -0.0, 1.0, -0.0, 2.0, 0.0], [3.0, 1.0, 2.0, 2.0, 0.0, -0.0]),
+    ]
     rnd = random.Random(13)
     for _ in range(50):
         n = rnd.randint(3, 40)
-        x = [rnd.randint(0, 8) for _ in range(n)]  # heavy ties
-        y = [rnd.randint(0, 8) for _ in range(n)]
+        cases.append(([rnd.randint(0, 8) for _ in range(n)], [rnd.randint(0, 8) for _ in range(n)]))  # heavy ties
+    for x, y in cases:
         if len(set(x)) < 2 or len(set(y)) < 2:
             continue
         expected = scipy.stats.spearmanr(x, y).statistic
