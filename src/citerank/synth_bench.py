@@ -14,7 +14,6 @@ import math
 import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
-from importlib import resources
 from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
@@ -338,4 +337,4 @@ def emit_divergence(result: DivergenceResult, fmt: str = "delimited") -> str:
 
 def fixture_path(name: str) -> Path:
     """Filesystem path of a packaged fixture (experiment configs, sample CSVs)."""
-    return Path(str(resources.files("citerank").joinpath("fixtures", name)))
+    return Path(__file__).parent / "fixtures" / name

@@ -36,7 +36,7 @@ from citerank import (
     top_count,
 )
 from citerank.cli import main
-from conftest import oracle_entries, table_rows
+from conftest import citation_tables, oracle_entries, spy, table_rows
 
 QUANTILE = PercentileRule.QUANTILE
 
@@ -57,11 +57,11 @@ B,b3,7,article
 """
 
 
-def _csv_text(rows) -> str:
+def _csv_text(records) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["set_id", "paper_id", "citations", "doc_type"])
-    writer.writerows(rows)
+    writer.writerows(map(dataclasses.astuple, records))
     return buffer.getvalue()
 
 
@@ -118,21 +118,9 @@ def test_generated_ids_past_five_digits():
 
 # --- the tally: one per (table, scope), equal to a plain list and the exact oracle ---
 
-multi_set_doc_rows = st.lists(
-    st.tuples(
-        st.sampled_from(["A", "B", "a/b", "a"]),
-        st.integers(min_value=0, max_value=12),
-        st.sampled_from(["article", "review", "c", "b/c"]),
-    ),
-    min_size=1,
-    max_size=40,
-)
-
-
-@given(rows=multi_set_doc_rows, seed=st.integers(min_value=0, max_value=2**16))
-def test_table_tally_matches_a_shuffled_list_and_the_oracle(rows, seed):
-    text = _csv_text((set_id, f"p{i}", count, doc_type) for i, (set_id, count, doc_type) in enumerate(rows))
-    table = parse_records(io.StringIO(text)).records
+@given(records=citation_tables(), seed=st.integers(min_value=0, max_value=2**16))
+def test_table_tally_matches_a_shuffled_list_and_the_oracle(records, seed):
+    table = parse_records(io.StringIO(_csv_text(records))).records
     shuffled = table_rows(table, as_records=True)
     shuffler = random.Random(seed)
     shuffler.shuffle(shuffled)
@@ -150,15 +138,7 @@ def test_table_tally_matches_a_shuffled_list_and_the_oracle(rows, seed):
 
 
 def _count_tallies(monkeypatch):
-    calls = []
-    tally = indicator_core._tally
-
-    def counting(table, scope):
-        calls.append((id(table), scope))
-        return tally(table, scope)
-
-    monkeypatch.setattr(indicator_core, "_tally", counting)
-    return calls
+    return spy(monkeypatch, indicator_core, "_tally", note=lambda table, scope: (id(table), scope))
 
 
 def test_tally_runs_once_per_table_and_scope(monkeypatch):
@@ -206,20 +186,8 @@ def test_a_failed_tally_is_not_memoized(monkeypatch):
     assert len(calls) == 2
 
 
-def _count_records(monkeypatch):
-    built = []
-    check = CitationRecord.__post_init__
-
-    def counting(record):
-        built.append(record.paper_id)
-        check(record)
-
-    monkeypatch.setattr(CitationRecord, "__post_init__", counting)
-    return built
-
-
 def test_rank_and_simulate_build_no_records(monkeypatch, capsys, tmp_path):
-    built = _count_records(monkeypatch)
+    built = spy(monkeypatch, CitationRecord, "__post_init__", note=lambda record: record.paper_id)
     path = tmp_path / "doc.csv"
     path.write_text(DOC_CSV)
     rules = [flag for rule in PercentileRule for flag in ("--rule", rule.token)]
@@ -237,13 +205,7 @@ def test_rank_and_simulate_build_no_records(monkeypatch, capsys, tmp_path):
 def _count_paper_id_views(monkeypatch, names=("entries", "group_keys")):
     built = []
     for name in names:
-        view = getattr(PercentileAssignment, name)
-
-        def counting(assignment, _build=view.func, _name=name):
-            built.append(_name)
-            return _build(assignment)
-
-        monkeypatch.setattr(view, "func", counting)
+        spy(monkeypatch, getattr(PercentileAssignment, name), "func", note=lambda _, name=name: name, calls=built)
     return built
 
 
@@ -288,14 +250,7 @@ def test_paper_table_builds_no_per_record_values(monkeypatch, capsys, tmp_path):
 
 
 def test_set_index_is_built_once_per_table_and_scope(monkeypatch):
-    built = []
-    index = indicator_core._Tally.rows_by_set
-
-    def counting(tally, _build=index.func):
-        built.append(id(tally))
-        return _build(tally)
-
-    monkeypatch.setattr(index, "func", counting)
+    built = spy(monkeypatch, indicator_core._Tally.rows_by_set, "func", note=id)
     dataset = parse_records(io.StringIO(DOC_CSV))
     schemes = (P100, NSF6, RankClassScheme.from_token("top25"))
     for scope in [*ReferenceScope, *ReferenceScope]:
@@ -307,13 +262,7 @@ def test_set_index_is_built_once_per_table_and_scope(monkeypatch):
 
 
 def test_paper_table_json_formats_no_text_cells(monkeypatch):
-    formatted = []
-
-    def counting(value, spec=""):
-        formatted.append(value)
-        return format(value, spec)
-
-    monkeypatch.setattr(data_pipeline, "format", counting, raising=False)
+    formatted = spy(monkeypatch, data_pipeline, "format", note=lambda value, spec="": value)
     dataset = parse_records(io.StringIO(DOC_CSV))
     emit_paper_percentiles(dataset, tuple(PercentileRule), ReferenceScope.PER_SET, "json")
     assert formatted == []

@@ -39,7 +39,7 @@ from citerank import (
     top_share,
 )
 from citerank import __version__, data_pipeline
-from conftest import exact_percentiles, oracle_entries, table_rows
+from conftest import exact_percentiles, oracle_entries, spy, table_rows
 
 QUANTILE = PercentileRule.QUANTILE
 
@@ -574,14 +574,7 @@ def test_paper_table_missing_doc_type_error_unchanged(scope):
 
 
 def _count_tallies(monkeypatch):
-    calls = []
-
-    def counting(records, rule, scope=ReferenceScope.GLOBAL_POOL):
-        calls.append(rule)
-        return compute_percentiles(records, rule, scope)
-
-    monkeypatch.setattr(data_pipeline, "compute_percentiles", counting)
-    return calls
+    return spy(monkeypatch, data_pipeline, "compute_percentiles", note=lambda records, rule, scope: rule)
 
 
 def test_run_analysis_tallies_once_per_rule(monkeypatch):
@@ -610,13 +603,7 @@ def test_run_analysis_computes_a_repeated_rule_once(monkeypatch):
 def test_run_analysis_computes_a_repeated_scheme_once(monkeypatch):
     dataset = load_records(fixture_path("reviews10.csv"))
     single = run_analysis(dataset, AnalysisConfig((QUANTILE,), (P100,)))
-    calls = []
-
-    def counting(assignment, scheme, set_id):
-        calls.append((scheme, set_id))
-        return i3(assignment, scheme, set_id)
-
-    monkeypatch.setattr(data_pipeline, "i3", counting)
+    calls = spy(monkeypatch, data_pipeline, "i3", note=lambda assignment, scheme, set_id: (scheme, set_id))
     report = run_analysis(dataset, AnalysisConfig((QUANTILE,), (P100, P100)))
     assert calls == [(P100, "reviews")]
     assert report.rows == single.rows and report.schemes == (P100, P100)
@@ -651,14 +638,7 @@ def test_parse_reports_csv_module_errors_as_value_errors():
 
 
 def test_parse_pauses_gc_and_leaves_it_as_the_caller_had_it(monkeypatch):
-    during = []
-    parse_rows = data_pipeline._parse_rows
-
-    def recording(reader, source):
-        during.append(gc.isenabled())
-        return parse_rows(reader, source)
-
-    monkeypatch.setattr(data_pipeline, "_parse_rows", recording)
+    during = spy(monkeypatch, data_pipeline, "_parse_rows", note=lambda reader, source: gc.isenabled())
     malformed = f"set_id,paper_id,citations\nA,{'x' * (csv.field_size_limit() + 1)},1\n"
     assert gc.isenabled()
     _dataset(TWO_SET_CSV)
@@ -759,14 +739,7 @@ def test_parse_chunks_join_in_row_order(monkeypatch):
 
 
 def test_parse_builds_one_table_whatever_the_chunk_count(monkeypatch):
-    built = []
-    init = CitationTable.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(CitationTable, "__init__", counting)
+    built = spy(monkeypatch, CitationTable, "__init__", note=lambda table, *args, **kwargs: table)
     monkeypatch.setattr(data_pipeline, "CHUNK_ROWS", 2)
     dataset = _dataset("set_id,paper_id,citations\n\nA,p1,1\nA,p2,2\n\n\nB,p3,3\nB,p4,4\n\nB,p5,5\nC,p6,6\nC,p7,0\n")
     assert built == [dataset.records]

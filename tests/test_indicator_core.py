@@ -31,7 +31,7 @@ from citerank import (
     top_share,
 )
 from citerank.indicator_core import _rule_value
-from conftest import group_percentiles, make_records, oracle_entries
+from conftest import citation_tables, group_percentiles, make_records, oracle_entries
 
 RULES = list(PercentileRule)
 
@@ -390,7 +390,7 @@ def test_oracle_agrees_with_scipy_percentileofscore_and_percentile_of(group, dat
 
 @pytest.mark.parametrize("rule", RULES)
 def test_oracle_matches_compute_on_random_sets(rule):
-    rnd = random.Random(hash(rule.token) & 0xFFFF)
+    rnd = random.Random(rule.token)
     for _ in range(100):
         counts = [rnd.randint(0, 50) for _ in range(rnd.randint(1, 80))]
         records = make_records(counts)
@@ -501,22 +501,8 @@ def test_percent_i3_sums_to_100(count_sets, rule):
 
 # --- set index and distinct-count tally -----------------------------------------
 
-multi_set_rows = st.lists(
-    st.tuples(
-        st.sampled_from(["A", "B", "C"]),
-        st.integers(min_value=0, max_value=12),
-        st.sampled_from(["article", "review"]),
-    ),
-    min_size=1,
-    max_size=40,
-)
-
-@given(rows=multi_set_rows)
-def test_compute_percentiles_and_set_index_match_brute_force(rows):
-    records = [
-        CitationRecord(set_id, f"p{i}", count, doc_type)
-        for i, (set_id, count, doc_type) in enumerate(rows)
-    ]
+@given(records=citation_tables())
+def test_compute_percentiles_and_set_index_match_brute_force(records):
     set_ids = {record.set_id for record in records}
     for scope in ReferenceScope:
         for rule in RULES:
@@ -529,27 +515,13 @@ def test_compute_percentiles_and_set_index_match_brute_force(rows):
                 assignment.percentiles_for_set("missing")
 
 
-@st.composite
-def shuffled_tables(draw):
-    """Up to 60 records in up to 6 sets over up to 3 doc types, heavily tied and in a drawn order.
-
-    Each record's doc type is drawn on its own, so one set's papers span several doc-type groups.
-    """
-    n_sets, n_types = draw(st.integers(1, 6)), draw(st.integers(1, 3))
-    counts = st.one_of(st.just(0), st.integers(0, 4), st.integers(0, 500))
-    rows = draw(st.lists(st.tuples(st.integers(0, n_sets - 1), counts, st.integers(0, n_types - 1)),
-                         min_size=1, max_size=60))
-    order = draw(st.permutations(range(len(rows))))
-    return [CitationRecord(f"S{rows[i][0]}", f"p{i}", rows[i][1], f"t{rows[i][2]}") for i in order]
-
-
 # top<P> shares: whole percents, whose bounds meet many k*100/n, and shares with decimals
 top_schemes = st.one_of(st.integers(1, 99).map(str), st.integers(1, 10**6 - 1).map(lambda m: f"{m / 10**4}")).map(
     lambda share: RankClassScheme.from_token(f"top{share}")
 )
 
 
-@given(records=shuffled_tables(), top=top_schemes, data=st.data())
+@given(records=citation_tables(), top=top_schemes, data=st.data())
 def test_set_aggregates_equal_a_per_paper_reference(records, top, data):
     set_ids = sorted({record.set_id for record in records})
     for scope in ReferenceScope:
@@ -572,7 +544,7 @@ def test_set_aggregates_equal_a_per_paper_reference(records, top, data):
                 assert top_count(assignment, set_id, threshold) == (sum(v >= threshold for v in values), len(values))
 
 
-@given(records=shuffled_tables(), rules=st.lists(st.sampled_from(RULES), min_size=1, max_size=6))
+@given(records=citation_tables(), rules=st.lists(st.sampled_from(RULES), min_size=1, max_size=6))
 def test_report_rows_equal_a_per_record_reference(records, rules):
     # rules in any order, repeats included; the discrete schemes keep every total I3 above zero
     schemes = (NSF6, TOP10)

@@ -345,25 +345,27 @@ def test_simulate_rejects_a_doc_type_scope_before_drawing_a_set(tmp_path, monkey
     assert drawn == []
 
 
-_json_scalars = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+# Ints far past a float's range, still within the digits that json converts.
+_huge_ints = st.builds(lambda sign, digits: sign * 10**digits, st.sampled_from([1, -1]), st.integers(300, 4000))
+_any_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(), _huge_ints, st.floats(), st.text(max_size=8),
     st.sampled_from(["quantile", "lb09", "rousseau", "p100", "top10", "per-set", "global"]),
 )
-_json_values = st.recursive(
-    _json_scalars,
+_any_json = st.recursive(
+    _any_scalar,
     lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
     max_leaves=12,
 )
 _set_entries = st.dictionaries(
     st.sampled_from(["set_id", "n", "uncited_share", "mu", "sigma", "seed", "extra"]),
-    _json_values,
+    _any_json,
     max_size=7,
 )
 _configs = st.one_of(
-    _json_values,
+    _any_json,
     st.dictionaries(
         st.sampled_from(["sets", "rules", "scheme", "scope"]),
-        st.one_of(_json_values, st.lists(_set_entries, max_size=3)),
+        st.one_of(_any_json, st.lists(_set_entries, max_size=3)),
         max_size=4,
     ),
 )
@@ -422,14 +424,6 @@ VALID_CONFIG = {
 _CONFIG_KEYS = [(key,) for key in VALID_CONFIG] + [
     ("sets", position, key) for position in (0, 1) for key in VALID_CONFIG["sets"][position]
 ]
-# Ints far past a float's range, still within the digits that json converts.
-_huge_ints = st.builds(lambda sign, digits: sign * 10**digits, st.sampled_from([1, -1]), st.integers(300, 4000))
-_any_scalar = st.none() | st.booleans() | st.integers() | _huge_ints | st.floats() | st.text(max_size=8)
-_any_json = st.recursive(
-    _any_scalar,
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
-    max_leaves=12,
-)
 
 
 def _replaced(where: tuple, value: object) -> dict:
