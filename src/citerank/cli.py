@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Callable, Sequence
 from pathlib import Path
+from typing import TextIO
 
 from ._version import __version__
 from .data_pipeline import (
@@ -63,11 +65,32 @@ def _distinct(kind: str, chosen: Sequence, attribute: str) -> tuple:
     return tuple(chosen)
 
 
+# Characters per write: a slice is encoded on its own, so no bytes copy of a whole report is made.
+WRITE_SLICE = 1 << 20
+
+
 def _write(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        Path(output).write_text(text, encoding="utf-8")
+    """Write ``text`` to stdout, or as UTF-8 to the file ``output``, in slices of :data:`WRITE_SLICE`.
+
+    A reader that closes stdout early ends the output, not the run: the rest
+    of the text is dropped and stdout is pointed at the null device, so the
+    flush at exit raises nothing either.
+    """
+    if output is not None:
+        with open(output, "w", encoding="utf-8") as stream:
+            _write_slices(stream, text)
+        return
+    try:
+        _write_slices(sys.stdout, text)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _write_slices(stream: TextIO, text: str) -> None:
+    for start in range(0, len(text), WRITE_SLICE):
+        stream.write(text[start:start + WRITE_SLICE])
 
 
 def _write_divergence(result: DivergenceResult, fmt: str) -> None:

@@ -14,10 +14,11 @@ import io
 import json
 import re
 import sys
+from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, TextIO
@@ -55,7 +56,7 @@ REQUIRED_COLUMNS = ("set_id", "paper_id", "citations")
 FORMATS = ("delimited", "aligned", "json")
 
 # Rows parsed per chunk: the raw rows of one chunk are alive at a time.
-CHUNK_ROWS = 16384
+CHUNK_ROWS = 4096
 
 # A delimited cell holding one of these is quoted (see _cell and _first_cell).
 _QUOTED = re.compile(r'[,"\r\n]')
@@ -336,17 +337,17 @@ def _csv_line(cells: Sequence[str]) -> str:
     return ",".join([_first_cell(cells[0]), *map(_cell, cells[1:])]) + "\n"
 
 
-def _report(fmt: str, title: str, lines: Iterable[str]) -> str:
-    """A delimited or aligned report: its leader, then the newline-terminated ``lines``.
+def _report(fmt: str, title: str, pieces: Iterable[str]) -> str:
+    """A delimited or aligned report: its leader, then ``pieces``, whose concatenation is its lines.
 
     The delimited leader is ``# citerank-i3 <version>``; the aligned one is the
-    program name and ``title``, then a blank line.
+    program name and ``title``, then a blank line. The text is one ``"".join``
+    of the leader and the pieces, so it is built once and never copied; a piece
+    need not be a whole line, and one string object may be many pieces.
     """
     _check_format(fmt)
-    buffer = io.StringIO()
-    buffer.write(f"citerank-i3 {__version__} {title}\n\n" if fmt == "aligned" else f"# citerank-i3 {__version__}\n")
-    buffer.writelines(lines)
-    return buffer.getvalue()
+    leader = f"citerank-i3 {__version__} {title}\n\n" if fmt == "aligned" else f"# citerank-i3 {__version__}\n"
+    return "".join(chain([leader], pieces))
 
 
 def emit_ranking_table(report: RankingReport, fmt: str = "delimited") -> str:
@@ -427,16 +428,20 @@ def emit_paper_percentiles(
 ) -> str:
     """Per-paper percentile table, one ``pct_<rule>`` column per rule; ``rules`` must not be empty.
 
-    Rows are sorted by (set_id, paper_id) so equal inputs emit equal bytes.
-    Every paper in one row of the shared tally (one reference group and
-    citation count) holds the same count and percentiles, so the table is
-    rendered from the tally: each distinct rule gives its ``row_values``
-    once, the numeric cells are formatted once per tally row, and each
-    paper's line is built from its set_id and paper_id cells and the cells
-    of its row, in one walk over the sorted record order. The delimited
-    form joins each row's cells into one text tail; the aligned form hands
-    the rows to :func:`_aligned_lines`; the json form writes each row's
-    citations and percentiles once, as ``json.dumps(..., indent=2)`` would.
+    Rows are sorted by (set_id, paper_id) so equal inputs emit equal bytes;
+    the sorted order is kept as an ``array`` of 4-byte indexes. Every paper
+    in one row of the shared tally (one reference group and citation count)
+    holds the same count and percentiles, so the table is rendered from the
+    tally: each distinct rule gives its ``row_values`` once, and the numeric
+    cells are formatted once per tally row. The delimited and json forms are
+    then one ``"".join`` over a flat stream of pieces, three per paper in
+    sorted order: its set's cell, its paper cell and its tally row's tail,
+    where set and row pieces are shared strings; json adds a separator
+    after each paper, the last one the document's tail. So no per-line
+    string and no second copy of the text is built. The delimited tail is
+    a row's cells joined; the json tail writes the row's citations and
+    percentiles as ``json.dumps(..., indent=2)`` would. The aligned form
+    hands the rows to :func:`_aligned_lines`.
     """
     table = dataset.records
     _check_format(fmt)
@@ -451,6 +456,16 @@ def emit_paper_percentiles(
     # Two stable sorts give the (set_id, paper_id) order without building tuple keys.
     order = sorted(range(len(table)), key=paper_ids.__getitem__)
     order.sort(key=set_ids.__getitem__)
+    order = array("I", order)  # its int objects are freed before the text is built
+
+    def pieces(by_set, by_paper, by_row, *more):
+        """Per paper in sorted order: its set's piece, its own, its tally row's, then one of each of ``more``."""
+        return chain.from_iterable(zip(
+            map(by_set.__getitem__, map(set_ids.__getitem__, order)),
+            map(by_paper.__getitem__, order),
+            map(by_row.__getitem__, map(row_of.__getitem__, order)),
+            *more,
+        ))
 
     tokens = [rule.token for rule in rules]
     if fmt == "json":
@@ -459,14 +474,15 @@ def emit_paper_percentiles(
         head, tail = json.dumps(document, indent=2).rsplit("[]", 1)
         keys = list(map(json.dumps, tokens))
         blocks = [
-            f'      "citations": {count},\n      "percentiles": {{\n'
+            f',\n      "citations": {count},\n      "percentiles": {{\n'
             + ",\n".join(f"        {key}: {value!r}" for key, value in dict(zip(keys, values)).items())
             + "\n      }\n    }"
             for count, *values in zip(counts, *row_values)
         ]
         set_heads = {set_id: f'    {{\n      "set_id": {json.dumps(set_id)},\n      "paper_id": ' for set_id in set(set_ids)}
-        papers = (f"{set_heads[set_ids[i]]}{json.dumps(paper_ids[i])},\n{blocks[row_of[i]]}" for i in order)
-        return f"{head}[\n" + ",\n".join(papers) + f"\n  ]{tail}\n"
+        # papers are separated by a comma; the last one is followed by the document's tail
+        ends = chain(repeat(",\n", len(order) - 1), [f"\n  ]{tail}\n"])
+        return "".join(chain([f"{head}[\n"], pieces(set_heads, list(map(json.dumps, paper_ids)), blocks, ends)))
     header = ["set_id", "paper_id", "citations"] + [f"pct_{token}" for token in tokens]
     title = f"paper percentiles (scope: {scope.token})"
     # the numeric cells of each tally row
@@ -478,5 +494,4 @@ def emit_paper_percentiles(
     # paper_ids are distinct, and never a line's first cell: encode them only when one needs quoting
     paper_cells = paper_ids if _QUOTED.search("".join(paper_ids)) is None else list(map(_cell, paper_ids))
     tails = ["," + ",".join(cells) + "\n" for cells in row_cells]
-    lines = (f"{set_cells[set_ids[i]]}{paper_cells[i]}{tails[row_of[i]]}" for i in order)
-    return _report(fmt, title, chain([_csv_line(header)], lines))
+    return _report(fmt, title, chain([_csv_line(header)], pieces(set_cells, paper_cells, tails)))

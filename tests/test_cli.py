@@ -15,8 +15,16 @@ from pathlib import Path
 import pytest
 
 import citerank
-from citerank import emit_divergence, fixture_path, load_experiment_config, run_divergence_experiment
-from citerank.cli import main
+from citerank import (
+    PercentileRule,
+    emit_divergence,
+    emit_paper_percentiles,
+    fixture_path,
+    load_experiment_config,
+    load_records,
+    run_divergence_experiment,
+)
+from citerank.cli import WRITE_SLICE, main
 
 REVIEWS = str(fixture_path("reviews10.csv"))
 
@@ -47,6 +55,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_process(*argv, **kwargs):
+    """``citerank *argv`` in a child interpreter that imports this checkout's package; ``kwargs`` go to Popen."""
+    env = {**os.environ, "PYTHONPATH": str(Path(citerank.__file__).parent.parent), "PYTHONIOENCODING": "utf-8"}
+    return subprocess.Popen([sys.executable, "-m", "citerank.cli", *argv], env=env, **kwargs)
+
+
+@pytest.fixture
+def wide_csv(tmp_path):
+    """10k papers whose ids are 205 three-byte characters: a per-paper report of over 2 slices of 1 MiB."""
+    digits = str.maketrans("0123456789", "〇一二三四五六七八九")
+    rows = (f"集合{str(i % 3).translate(digits)},{'論文' * 100}{f'{i:05d}'.translate(digits)},{i % 7}"
+            for i in range(10_000))
+    path = tmp_path / "wide.csv"
+    path.write_text("set_id,paper_id,citations\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
 
 
 # --- rank -----------------------------------------------------------------------
@@ -87,6 +112,27 @@ def test_rank_writes_output_file(capsys, multi_csv, tmp_path):
     text = out_path.read_text()
     assert text.splitlines()[0] == "# citerank-i3 0.1.0"
     assert "pI3_quantile_nsf6" in text
+
+
+def test_rank_output_file_and_stdout_hold_the_report_bytes(capsys, wide_csv, tmp_path):
+    text = emit_paper_percentiles(load_records(wide_csv), (PercentileRule.QUANTILE,))
+    # the report spans three write slices, and a slice boundary splits a run of multi-byte characters
+    assert len(text) > 2 * WRITE_SLICE
+    assert not any(char.isascii() for char in text[WRITE_SLICE - 1:WRITE_SLICE + 1])
+    out_path = tmp_path / "report.csv"
+    assert run_cli(capsys, "rank", "--input", wide_csv, "--per-paper", "--output", str(out_path)) == (0, "", "")
+    stdout, _ = cli_process("rank", "--input", wide_csv, "--per-paper", stdout=subprocess.PIPE).communicate(timeout=60)
+    assert out_path.read_bytes() == stdout == text.encode("utf-8")
+
+
+def test_rank_into_a_pipe_that_its_reader_closes_early_exits_0_quietly(wide_csv):
+    # The reader takes one line and closes the pipe while the first slice is being written, so a
+    # later slice meets a closed pipe: the run ends as a single write of the whole text ended it.
+    process = cli_process("rank", "--input", wide_csv, "--per-paper", stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = process.stdout.readline()
+    process.stdout.close()
+    _, err = process.communicate(timeout=60)
+    assert (first, process.returncode, err) == (f"# citerank-i3 {citerank.__version__}\n".encode(), 0, b"")
 
 
 def test_rank_duplicate_rule_is_usage_error(capsys, multi_csv):

@@ -6,6 +6,7 @@ import io
 import json
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -627,6 +628,27 @@ def test_paper_table_computes_a_repeated_rule_once(monkeypatch):
     # each line holds the single-rule line's percentile cell three times over
     lines = [line + line[line.rindex(","):] * 2 if "," in line else line for line in single.splitlines()]
     assert emit_paper_percentiles(dataset, (QUANTILE,) * 3).splitlines() == lines
+
+
+@pytest.mark.parametrize("scope", [ReferenceScope.GLOBAL_POOL, ReferenceScope.PER_SET_AND_DOC_TYPE])
+@pytest.mark.parametrize("fmt", ["delimited", "json"])
+def test_paper_table_peaks_below_twice_its_text(scope, fmt):
+    # The text is joined once from pieces, most of them shared between papers: no string per line,
+    # and no copy of the whole text. The text is ASCII, so its length is its size in bytes.
+    rng = random.Random(24)
+    n = 20_000
+    table = CitationTable(
+        [f"S{rng.randrange(20):02d}" for _ in range(n)], [f"P{i:06d}" for i in range(n)],
+        [rng.randrange(10) for _ in range(n)], [rng.choice(("article", "review", "letter")) for _ in range(n)],
+    )
+    compute_percentiles(table, QUANTILE, scope)  # the tally is memoized on the table before tracing starts
+    tracemalloc.start()
+    try:
+        text = emit_paper_percentiles(InputDataset(table), tuple(PercentileRule), scope, fmt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text)
 
 
 # --- malformed input never escapes as anything but ValueError ---------------------
