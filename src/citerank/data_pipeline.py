@@ -307,18 +307,9 @@ def _check_format(fmt: str) -> None:
         raise ValueError(f"unknown format {fmt!r} (expected one of: {', '.join(FORMATS)})")
 
 
-def _aligned_lines(columns: Sequence[str], rows: Iterable[Sequence[str]]) -> list[str]:
-    """The newline-terminated lines of one table, each column padded to its widest cell."""
-    body = [list(columns)] + [list(row) for row in rows]
-    widths = [max(len(line[i]) for line in body) for i in range(len(columns))]
-    lines = []
-    for line in body:
-        # left-align the first (label) column, right-align the numbers
-        cells = [line[0].ljust(widths[0])] + [
-            cell.rjust(widths[i]) for i, cell in enumerate(line) if i > 0
-        ]
-        lines.append("  ".join(cells).rstrip() + "\n")
-    return lines
+def _aligned_line(cells: Sequence[str], widths: Sequence[int]) -> str:
+    """One aligned line: the first (label) cell left-aligned, the others right-aligned, each to its column's width."""
+    return "  ".join([cells[0].ljust(widths[0]), *map(str.rjust, cells[1:], widths[1:])]).rstrip() + "\n"
 
 
 def _cell(text: str) -> str:
@@ -371,13 +362,14 @@ def emit_ranking_table(report: RankingReport, fmt: str = "delimited") -> str:
     keys = [pair_key(rule, scheme) for rule in report.rules for scheme in report.schemes]
     columns = ["set_id", "n_papers", "total_citations"]
     columns += [f"{prefix}_{key}" for key in keys for prefix in ("pI3", "rank")] + ["top_share"]
-    rows = [
+    table = [columns] + [
         [row.set_id, str(row.n_papers), str(row.total_citations)]
         + [cell for key in keys for cell in (f"{row.percent_i3[key]:.6f}", str(row.rank[key]))]
         + [f"{row.top_share:.6f}"]
         for row in report.rows
     ]
-    lines = _aligned_lines(columns, rows) if fmt == "aligned" else map(_csv_line, [columns, *rows])
+    lines = (map(_aligned_line, table, repeat([max(map(len, column)) for column in zip(*table)]))
+             if fmt == "aligned" else map(_csv_line, table))
     return _report(fmt, f"ranking report (scope: {report.scope.token})", lines)
 
 
@@ -433,15 +425,14 @@ def emit_paper_percentiles(
     in one row of the shared tally (one reference group and citation count)
     holds the same count and percentiles, so the table is rendered from the
     tally: each distinct rule gives its ``row_values`` once, and the numeric
-    cells are formatted once per tally row. The delimited and json forms are
-    then one ``"".join`` over a flat stream of pieces, three per paper in
-    sorted order: its set's cell, its paper cell and its tally row's tail,
-    where set and row pieces are shared strings; json adds a separator
-    after each paper, the last one the document's tail. So no per-line
-    string and no second copy of the text is built. The delimited tail is
-    a row's cells joined; the json tail writes the row's citations and
-    percentiles as ``json.dumps(..., indent=2)`` would. The aligned form
-    hands the rows to :func:`_aligned_lines`.
+    cells are formatted once per tally row. Every format is one ``"".join``
+    over a flat stream of pieces, per paper in sorted order: its set's piece,
+    its paper cell and its tally row's piece, where set and row pieces are
+    shared strings, so no per-line string and no copy of the text is built.
+    The paper cell is the id itself unless some id needs quoting, when
+    delimited, or escaping, when json; a bare json id has its quotes in the
+    set and row pieces. Aligned puts a run of spaces, shared by all ids of a
+    length, before each id; json ends each paper with a separator piece.
     """
     table = dataset.records
     _check_format(fmt)
@@ -458,14 +449,9 @@ def emit_paper_percentiles(
     order.sort(key=set_ids.__getitem__)
     order = array("I", order)  # its int objects are freed before the text is built
 
-    def pieces(by_set, by_paper, by_row, *more):
-        """Per paper in sorted order: its set's piece, its own, its tally row's, then one of each of ``more``."""
-        return chain.from_iterable(zip(
-            map(by_set.__getitem__, map(set_ids.__getitem__, order)),
-            map(by_paper.__getitem__, order),
-            map(by_row.__getitem__, map(row_of.__getitem__, order)),
-            *more,
-        ))
+    def each(pieces, key=None):
+        """Per paper in sorted order: the piece at its index, or at ``key[index]``."""
+        return map(pieces.__getitem__, order if key is None else map(key.__getitem__, order))
 
     tokens = [rule.token for rule in rules]
     if fmt == "json":
@@ -473,25 +459,39 @@ def emit_paper_percentiles(
         document = {"version": __version__, "rules": tokens, "scope": scope.token, "papers": []}
         head, tail = json.dumps(document, indent=2).rsplit("[]", 1)
         keys = list(map(json.dumps, tokens))
+        # json.dumps escapes exactly what ESCAPE_ASCII matches; an id it leaves alone is written bare between quotes
+        quote = '"' if json.encoder.ESCAPE_ASCII.search("".join(paper_ids)) is None else ""
+        id_cells = paper_ids if quote else list(map(json.dumps, paper_ids))
         blocks = [
-            f',\n      "citations": {count},\n      "percentiles": {{\n'
+            f'{quote},\n      "citations": {count},\n      "percentiles": {{\n'
             + ",\n".join(f"        {key}: {value!r}" for key, value in dict(zip(keys, values)).items())
             + "\n      }\n    }"
             for count, *values in zip(counts, *row_values)
         ]
-        set_heads = {set_id: f'    {{\n      "set_id": {json.dumps(set_id)},\n      "paper_id": ' for set_id in set(set_ids)}
+        heads = {set_id: f'    {{\n      "set_id": {json.dumps(set_id)},\n      "paper_id": {quote}'
+                 for set_id in set(set_ids)}
         # papers are separated by a comma; the last one is followed by the document's tail
         ends = chain(repeat(",\n", len(order) - 1), [f"\n  ]{tail}\n"])
-        return "".join(chain([f"{head}[\n"], pieces(set_heads, list(map(json.dumps, paper_ids)), blocks, ends)))
+        pieces = zip(each(heads, set_ids), each(id_cells), each(blocks, row_of), ends)
+        return "".join(chain([f"{head}[\n"], chain.from_iterable(pieces)))
     header = ["set_id", "paper_id", "citations"] + [f"pct_{token}" for token in tokens]
-    title = f"paper percentiles (scope: {scope.token})"
-    # the numeric cells of each tally row
-    row_cells = list(zip(map(str, counts), *([format(value, ".6f") for value in values] for values in row_values)))
+    # the numeric cells of the tally rows, one list per column
+    columns = [list(map(str, counts))] + [[format(value, ".6f") for value in values] for values in row_values]
     if fmt == "aligned":
-        rows = ((set_ids[i], paper_ids[i], *row_cells[row_of[i]]) for i in order)
-        return _report(fmt, title, _aligned_lines(header, rows))
-    set_cells = {set_id: _first_cell(set_id) + "," for set_id in set(set_ids)}
-    # paper_ids are distinct, and never a line's first cell: encode them only when one needs quoting
-    paper_cells = paper_ids if _QUOTED.search("".join(paper_ids)) is None else list(map(_cell, paper_ids))
-    tails = ["," + ",".join(cells) + "\n" for cells in row_cells]
-    return _report(fmt, title, chain([_csv_line(header)], pieces(set_cells, paper_cells, tails)))
+        sets = set(set_ids)
+        widths = [max(map(len, chain([name], cells))) for name, cells in zip(header, [sets, paper_ids, *columns])]
+        first = _aligned_line(header, widths)
+        set_cells = {set_id: set_id.ljust(widths[0]) + "  " for set_id in sets}
+        pads = {length: " " * (widths[1] - length) for length in set(map(len, paper_ids))}
+        # a row's tail is its aligned cells after an empty first cell: two spaces before each
+        tails = [_aligned_line(["", *cells], [0, *widths[2:]]) for cells in zip(*columns)]
+        pieces = zip(each(set_cells, set_ids), map(pads.__getitem__, map(len, each(paper_ids))), each(paper_ids),
+                     each(tails, row_of))
+    else:
+        first = _csv_line(header)
+        set_cells = {set_id: _first_cell(set_id) + "," for set_id in set(set_ids)}
+        # paper_ids are distinct, and never a line's first cell: quote them only when one needs it
+        id_cells = paper_ids if _QUOTED.search("".join(paper_ids)) is None else list(map(_cell, paper_ids))
+        tails = ["," + ",".join(cells) + "\n" for cells in zip(*columns)]
+        pieces = zip(each(set_cells, set_ids), each(id_cells), each(tails, row_of))
+    return _report(fmt, f"paper percentiles (scope: {scope.token})", chain([first], chain.from_iterable(pieces)))

@@ -14,13 +14,13 @@ import math
 import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
-from itertools import combinations
+from itertools import combinations, repeat
 from pathlib import Path
 from typing import NamedTuple
 
 from ._version import __version__
 from .data_pipeline import AnalysisConfig, InputDataset, RankingReport, pair_key, run_analysis
-from .data_pipeline import _aligned_lines, _csv_line, _report
+from .data_pipeline import _aligned_line, _csv_line, _report
 from .indicator_core import (
     P100,
     CitationTable,
@@ -308,12 +308,11 @@ def emit_divergence(result: DivergenceResult, fmt: str = "delimited") -> str:
     lines: list[str] = []
     if fmt == "aligned":
         width = max(len(token) for token in tokens)
-        column = max(width, 10)  # cells are padded to one width shared by every matrix column
+        widths = [width] + [max(width, 10)] * len(tokens)  # one width shared by every matrix column
         for metric, matrix in matrices:
-            header = [""] + [token.rjust(column) for token in tokens]
-            rows = [[token] + [f"{value:{column}.6f}" for value in row] for token, row in zip(tokens, matrix)]
+            rows = [["", *tokens]] + [[token, *(f"{value:.6f}" for value in row)] for token, row in zip(tokens, matrix)]
             lines.append(f"{metric.capitalize()} correlation of percent-I3:\n")
-            lines += _aligned_lines(header, rows) + ["\n"]
+            lines += [*map(_aligned_line, rows, repeat(widths)), "\n"]
         lines.append("Top-ranked set per rule:\n")
         lines += [f"  {token.ljust(width)}  {result.top_set[token]}\n" for token in tokens]
     else:

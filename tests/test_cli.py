@@ -114,14 +114,18 @@ def test_rank_writes_output_file(capsys, multi_csv, tmp_path):
     assert "pI3_quantile_nsf6" in text
 
 
-def test_rank_output_file_and_stdout_hold_the_report_bytes(capsys, wide_csv, tmp_path):
-    text = emit_paper_percentiles(load_records(wide_csv), (PercentileRule.QUANTILE,))
-    # the report spans three write slices, and a slice boundary splits a run of multi-byte characters
+@pytest.mark.parametrize("fmt", ["delimited", "aligned", "json"])
+def test_rank_output_file_and_stdout_hold_the_report_bytes(capsys, wide_csv, tmp_path, fmt):
+    # aligned pads the ids to a column wider than its header, and json escapes them
+    text = emit_paper_percentiles(load_records(wide_csv), (PercentileRule.QUANTILE,), fmt=fmt)
+    # the report spans three write slices; json's is ASCII, and elsewhere a slice boundary splits
+    # a run of multi-byte characters
     assert len(text) > 2 * WRITE_SLICE
-    assert not any(char.isascii() for char in text[WRITE_SLICE - 1:WRITE_SLICE + 1])
-    out_path = tmp_path / "report.csv"
-    assert run_cli(capsys, "rank", "--input", wide_csv, "--per-paper", "--output", str(out_path)) == (0, "", "")
-    stdout, _ = cli_process("rank", "--input", wide_csv, "--per-paper", stdout=subprocess.PIPE).communicate(timeout=60)
+    assert text.isascii() if fmt == "json" else not any(char.isascii() for char in text[WRITE_SLICE - 1:WRITE_SLICE + 1])
+    out_path = tmp_path / "report.txt"
+    args = ("rank", "--input", wide_csv, "--per-paper", "--format", fmt)
+    assert run_cli(capsys, *args, "--output", str(out_path)) == (0, "", "")
+    stdout, _ = cli_process(*args, stdout=subprocess.PIPE).communicate(timeout=60)
     assert out_path.read_bytes() == stdout == text.encode("utf-8")
 
 

@@ -443,11 +443,11 @@ def test_paper_percentile_table():
 # --- per-paper table by column ------------------------------------------------
 
 # Ids carry commas, quotes, line breaks and padding, and are numbered so that paper_id order
-# differs from set order.
+# differs from set order; some are wider than their column's header.
 paper_rows = st.lists(
     st.tuples(
-        st.sampled_from(["B", "A", 'C,"q"', "D\rx", " E "]),
-        st.sampled_from(["", ",", '"', 'x"y,z', "\n", "\r", " s "]),
+        st.sampled_from(["B", "A", 'C,"q"', "D\rx", " E ", "a-set-wider-than-its-header"]),
+        st.sampled_from(["", ",", '"', 'x"y,z', "\n", "\r", " s ", "-a-paper-wider-than-its-header"]),
         st.integers(min_value=0, max_value=9),
         st.sampled_from(["article", "review"]),
     ),
@@ -631,7 +631,7 @@ def test_paper_table_computes_a_repeated_rule_once(monkeypatch):
 
 
 @pytest.mark.parametrize("scope", [ReferenceScope.GLOBAL_POOL, ReferenceScope.PER_SET_AND_DOC_TYPE])
-@pytest.mark.parametrize("fmt", ["delimited", "json"])
+@pytest.mark.parametrize("fmt", ["delimited", "aligned", "json"])
 def test_paper_table_peaks_below_twice_its_text(scope, fmt):
     # The text is joined once from pieces, most of them shared between papers: no string per line,
     # and no copy of the whole text. The text is ASCII, so its length is its size in bytes.
