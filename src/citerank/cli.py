@@ -82,6 +82,7 @@ def _write(text: str, output: str | None) -> None:
         return
     try:
         _write_slices(sys.stdout, text)
+        sys.stdout.flush()  # a text that fits the buffer meets a closed pipe here, not at exit
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
@@ -153,7 +154,7 @@ def cmd_ztest(args: argparse.Namespace) -> int:
     ]
     if args.one_sided:
         lines.append(f"p_one_sided={result.p_one_sided:.6f}")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _write("\n".join(lines) + "\n", None)
     return 0
 
 

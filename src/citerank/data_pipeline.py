@@ -67,16 +67,9 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 @dataclass(frozen=True)
 class InputDataset:
-    """Validated citation records.
-
-    ``records`` is held as a :class:`CitationTable`; any other sequence of
-    records is converted to one.
-    """
+    """Validated citation records, held as one :class:`CitationTable`."""
 
     records: CitationTable
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "records", CitationTable.of(self.records))
 
     @property
     def row_count(self) -> int:
@@ -126,7 +119,7 @@ def parse_records(stream: TextIO, source: str = "<stream>") -> InputDataset:
     digits with an optional sign. Raises ``ValueError`` naming a missing or
     repeated column, or the offending row number for bad citation counts and
     duplicate paper_ids (the header is row 1), or the line the ``csv``
-    module could not read, or ``source`` when its bytes are not UTF-8.
+    module could not read, or ``source`` when it holds no record or is not UTF-8.
 
     Rows are read in chunks of :data:`CHUNK_ROWS`. Each chunk's cells pass
     the format checks in bulk and extend one list per column; the lists
@@ -191,6 +184,8 @@ def _parse_rows(reader: Iterator[list[str]], source: str) -> InputDataset:
         if not all(rows):
             blanks.update(number for number, row in enumerate(rows, start=first) if not row)
         first += len(rows)
+    if not columns[0]:  # a header alone, or with only blank rows
+        raise ValueError(f"empty input: {source}")
     # each list is freed as soon as its tuple is built, before the next tuple
     columns = [tuple(columns.pop(0)) for _ in range(len(columns))]
     try:
@@ -289,7 +284,10 @@ def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport
         for scheme in dict.fromkeys(config.schemes):
             key = pair_key(rule, scheme)
             i3_by_set = {row.set_id: i3(assignment, scheme, row.set_id) for row in rows}
-            shares = percent_i3(i3_by_set)
+            try:
+                shares = percent_i3(i3_by_set)
+            except ValueError as exc:  # a degenerate pool: name the column that has one
+                raise ValueError(f"{key}: {exc}") from None
             # a set's competition rank: one more than the number of sets with a strictly larger share
             descending = sorted(-share for share in shares.values())
             for row in rows:

@@ -24,7 +24,6 @@ from itertools import chain
 from typing import NamedTuple
 
 __all__ = [
-    "CitationRecord",
     "CitationTable",
     "PercentileRule",
     "ReferenceScope",
@@ -150,31 +149,15 @@ NSF6 = RankClassScheme.from_token("nsf6")
 TOP10 = RankClassScheme.from_token("top10")
 
 
-@dataclass(frozen=True)
-class CitationRecord:
-    """One document: owning set, unique id, citation count, optional type."""
-
-    set_id: str
-    paper_id: str
-    citations: int
-    doc_type: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.citations < 0:
-            raise ValueError(f"negative citations for paper {self.paper_id!r}")
-
-
 class CitationTable:
     """Citation records held as four equal-length tuple columns.
 
     ``set_ids``, ``paper_ids``, ``citations`` and ``doc_types`` (``None``
     where absent) are the fields of the records in order; ``len`` is the
-    number of records. Its paper_ids are distinct: the constructor raises
-    ``ValueError`` on a negative count or a repeated paper_id, so no reader
-    checks either again. The table holds no :class:`CitationRecord`:
-    records go in through :meth:`of` and are read back by column. Tallies
-    computed from it are memoized on it, one per reference scope (see
-    :func:`compute_percentiles`).
+    number of records. The constructor is the one way records enter the
+    library, and the one place that checks them: it raises ``ValueError`` on
+    a negative count or a repeated paper_id. Tallies computed from it are
+    memoized on it, one per reference scope (see :func:`compute_percentiles`).
     """
 
     __slots__ = ("set_ids", "paper_ids", "citations", "doc_types", "_tallies")
@@ -202,17 +185,6 @@ class CitationTable:
                     raise ValueError(f"duplicate paper_id {paper_id!r}")
                 seen.add(paper_id)
         self._tallies: dict[ReferenceScope, _Tally] = {}
-
-    @classmethod
-    def of(cls, records: Iterable[CitationRecord]) -> CitationTable:
-        """``records`` itself if it is a table, else a table of the records in order."""
-        if isinstance(records, cls):
-            return records
-        recs = list(records)
-        return cls(
-            [r.set_id for r in recs], [r.paper_id for r in recs],
-            [r.citations for r in recs], [r.doc_type for r in recs],
-        )
 
     @classmethod
     def concat(cls, tables: Iterable[CitationTable]) -> CitationTable:
@@ -419,7 +391,7 @@ def _tally(table: CitationTable, scope: ReferenceScope) -> _Tally:
 
 
 def compute_percentiles(
-    records: Iterable[CitationRecord],
+    records: CitationTable,
     rule: PercentileRule,
     scope: ReferenceScope = ReferenceScope.GLOBAL_POOL,
 ) -> PercentileAssignment:
@@ -428,16 +400,15 @@ def compute_percentiles(
     Records are partitioned into reference groups per ``scope``; each
     paper's percentile equals :func:`percentile_of` over its group's
     counts. The rule-independent part is one tally per scope, memoized on
-    the :class:`CitationTable` (``records`` converted by
-    :meth:`CitationTable.of`, which returns a table unchanged): the group
-    numbering, every distinct (group, citation count) with its
-    ``lower``/``tied``/``n`` from one sorted walk, and each record's row. A
-    rule then costs one evaluation per distinct (group, count), kept as the
-    assignment's ``row_values``; no per-record column and no paper_id-keyed
-    dict is built. A paper's value does not depend on input ordering.
+    the table: the group numbering, every distinct (group, citation count)
+    with its ``lower``/``tied``/``n`` from one sorted walk, and each
+    record's row. A rule then costs one evaluation per distinct (group,
+    count), kept as the assignment's ``row_values``; no per-record column
+    and no paper_id-keyed dict is built. A paper's value does not depend on
+    input ordering.
 
     Args:
-        records: Citation records with unique paper_ids; non-empty.
+        records: A non-empty table.
         rule: Counting rule to apply.
         scope: Reference-group partitioning; doc-type scopes require
             ``doc_type`` on every record.
@@ -446,10 +417,9 @@ def compute_percentiles(
         A :class:`PercentileAssignment` whose ``row_values[tally.row_of[i]]``
         is the percentile of record ``i`` of ``records``.
     """
-    table = CitationTable.of(records)
-    tally = table._tallies.get(scope)
+    tally = records._tallies.get(scope)
     if tally is None:
-        tally = table._tallies[scope] = _tally(table, scope)
+        tally = records._tallies[scope] = _tally(records, scope)
     row_values = tuple([_rule_value(rule, lower, lower + tied, count, n) for count, lower, tied, n in tally.rows])
     return PercentileAssignment(row_values, tally)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from citerank import CitationRecord, ReferenceScope
+from citerank import CitationTable, ReferenceScope
 
 # The one exact oracle lives beside the benchmark and imports nothing from citerank;
 # `pythonpath` in pyproject.toml puts `perfbench/` on the import path.
@@ -15,28 +15,29 @@ from oracle import group_percentiles
 # `--hypothesis-profile=thorough` runs each property on many more examples (a CI step uses it)
 settings.register_profile("thorough", max_examples=2000)
 
-# Reference group of a record under each scope, written out independently of the package.
+# Reference group of a (set_id, doc_type) under each scope, written out independently of the package.
 GROUP_OF_SCOPE = {
-    ReferenceScope.GLOBAL_POOL: lambda record: "all",
-    ReferenceScope.PER_SET: lambda record: record.set_id,
-    ReferenceScope.PER_DOC_TYPE_POOL: lambda record: record.doc_type,
-    ReferenceScope.PER_SET_AND_DOC_TYPE: lambda record: (record.set_id, record.doc_type),
+    ReferenceScope.GLOBAL_POOL: lambda set_id, doc_type: "all",
+    ReferenceScope.PER_SET: lambda set_id, doc_type: set_id,
+    ReferenceScope.PER_DOC_TYPE_POOL: lambda set_id, doc_type: doc_type,
+    ReferenceScope.PER_SET_AND_DOC_TYPE: lambda set_id, doc_type: (set_id, doc_type),
 }
 
 
-def exact_percentiles(records, scope):
+def exact_percentiles(table, scope):
     """paper_id -> rule token -> each record's exact percentile (a Fraction) within its group under ``scope``."""
     group_of = GROUP_OF_SCOPE[scope]
+    rows = table_rows(table)
     groups = {}
-    for record in records:
-        groups.setdefault(group_of(record), []).append(record.citations)
+    for set_id, _, citations, doc_type in rows:
+        groups.setdefault(group_of(set_id, doc_type), []).append(citations)
     exact = {key: group_percentiles(counts) for key, counts in groups.items()}
-    return {record.paper_id: exact[group_of(record)][record.citations] for record in records}
+    return {paper_id: exact[group_of(set_id, doc_type)][citations] for set_id, paper_id, citations, doc_type in rows}
 
 
-def oracle_entries(records, rule, scope=ReferenceScope.PER_SET):
+def oracle_entries(table, rule, scope=ReferenceScope.PER_SET):
     """paper_id -> percentile under ``rule`` (a :class:`citerank.PercentileRule`), the exact value rounded once."""
-    return {paper_id: float(values[rule.token]) for paper_id, values in exact_percentiles(records, scope).items()}
+    return {paper_id: float(values[rule.token]) for paper_id, values in exact_percentiles(table, scope).items()}
 
 
 def spy(monkeypatch, owner, name, note=lambda *args, **kwargs: args, calls=None):
@@ -64,7 +65,7 @@ _DOC_TYPES = ("c", "b/c", "article", "review")
 
 @st.composite
 def citation_tables(draw):
-    """1–60 records in 1–6 sets over 1–4 doc types, heavily tied, often uncited, in a drawn order.
+    """A table of 1–60 records in 1–6 sets over 1–4 doc types, heavily tied, often uncited, in a drawn order.
 
     Each record's set and doc type are drawn on their own, so one set's papers span several
     doc-type groups. Paper ids are ``p0, p1, …`` in drawing order, before the records are shuffled.
@@ -75,31 +76,29 @@ def citation_tables(draw):
     rows = draw(st.lists(st.tuples(st.sampled_from(set_ids), counts, st.sampled_from(doc_types)),
                          min_size=1, max_size=60))
     order = draw(st.permutations(range(len(rows))))
-    return [CitationRecord(rows[i][0], f"p{i}", rows[i][1], rows[i][2]) for i in order]
+    return CitationTable(*zip(*[(rows[i][0], f"p{i}", rows[i][1], rows[i][2]) for i in order]))
 
 
-def table_rows(table, as_records=False):
-    """A table's rows in order: (set_id, paper_id, citations, doc_type) tuples, or CitationRecords."""
-    rows = zip(table.set_ids, table.paper_ids, table.citations, table.doc_types)
-    return [CitationRecord(*row) for row in rows] if as_records else list(rows)
+def table_rows(table):
+    """A table's rows in order: (set_id, paper_id, citations, doc_type) tuples."""
+    return list(zip(table.set_ids, table.paper_ids, table.citations, table.doc_types))
 
 
-def make_records(counts, set_id="A", prefix=None, doc_type=None):
-    """Build one set's records from a list of citation counts."""
+def make_table(counts, set_id="A", prefix=None, doc_type=None):
+    """One set's table from a list of citation counts; its paper_ids are ``prefix`` and the position."""
     prefix = prefix if prefix is not None else set_id.lower()
-    return [
-        CitationRecord(set_id, f"{prefix}{i}", count, doc_type)
-        for i, count in enumerate(counts)
-    ]
+    counts = list(counts)
+    n = len(counts)
+    return CitationTable([set_id] * n, [f"{prefix}{i}" for i in range(n)], counts, [doc_type] * n)
 
 
 @pytest.fixture
 def worked_set():
     """The 5-paper micro-set with counts {0, 1, 1, 2, 5}."""
-    return make_records([0, 1, 1, 2, 5])
+    return make_table([0, 1, 1, 2, 5])
 
 
 @pytest.fixture
 def ten_reviews():
     """One 10-paper set with counts 0..9."""
-    return make_records(range(10), set_id="reviews", prefix="r")
+    return make_table(range(10), set_id="reviews", prefix="r")

@@ -14,7 +14,7 @@ from citerank import (
     P100,
     TOP10,
     AnalysisConfig,
-    CitationRecord,
+    CitationTable,
     InputDataset,
     PercentileRule,
     ReferenceScope,
@@ -31,7 +31,7 @@ from citerank import (
     run_divergence_experiment,
     ztest_proportions,
 )
-from conftest import oracle_entries
+from conftest import make_table, oracle_entries
 
 QUANTILE = PercentileRule.QUANTILE
 LB09 = PercentileRule.LB09
@@ -46,7 +46,7 @@ def check(num: int, description: str, condition: bool) -> None:
 
 
 def _records(counts, set_id="A", prefix="p"):
-    return [CitationRecord(set_id, f"{set_id}_{prefix}{i}", c) for i, c in enumerate(counts)]
+    return make_table(counts, set_id, prefix=f"{set_id}_{prefix}")
 
 
 def test_criterion_1_ten_item_micro_example():
@@ -64,8 +64,8 @@ def test_criterion_2_zero_citation_inconsistency():
     records = _records([0] * 9 + [4])
     raw = compute_percentiles(records, RAW, ReferenceScope.PER_SET)
     revised = compute_percentiles(records, REVISED, ReferenceScope.PER_SET)
-    uncited = [r.paper_id for r in records if r.citations == 0]
-    cited = records[-1].paper_id
+    uncited = [pid for pid, c in zip(records.paper_ids, records.citations) if c == 0]
+    cited = records.paper_ids[-1]
     ok = (
         all(raw.entries[pid] == 90.0 for pid in uncited)
         and all(revised.entries[pid] == 0.0 for pid in uncited)
@@ -121,15 +121,16 @@ def test_criterion_5_normalization_and_conservation():
     start = time.perf_counter()
     ok = True
     for _ in range(40):
-        records = []
+        parts = []
         n_sets = rnd.randint(2, 6)
         for s in range(n_sets):
             counts = [rnd.randint(0, 50) for _ in range(rnd.randint(1, 60))]
-            records += _records(counts, set_id=f"S{s}")
+            parts.append(_records(counts, set_id=f"S{s}"))
         # keep the pool non-degenerate: at least one cited paper, two distinct counts
-        records += _records([0, 7], set_id="S0", prefix="guard")
-        set_ids = sorted({r.set_id for r in records})
-        sizes = {s: sum(1 for r in records if r.set_id == s) for s in set_ids}
+        parts.append(_records([0, 7], set_id="S0", prefix="guard"))
+        records = CitationTable.concat(parts)
+        set_ids = sorted(set(records.set_ids))
+        sizes = {s: records.set_ids.count(s) for s in set_ids}
         for rule in PercentileRule:
             assignment = compute_percentiles(records, rule, ReferenceScope.GLOBAL_POOL)
             for scheme in schemes:
@@ -229,7 +230,7 @@ def test_criterion_9_desk_scale_limits_documented():
     # observed citation data, only micro-sets and seeded synthetic configs.
     fixtures = ["reviews10.csv", "divergence_65sets.json", "divergence_high_uncited.json"]
     ok = all(fixture_path(name).exists() for name in fixtures)
-    dataset = InputDataset(tuple(_records(range(10), set_id="reviews")))
+    dataset = InputDataset(_records(range(10), set_id="reviews"))
     ok = ok and dataset.row_count == 10
     check(
         9,

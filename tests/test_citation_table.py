@@ -18,9 +18,7 @@ from citerank import (
     NSF6,
     P100,
     AnalysisConfig,
-    CitationRecord,
     CitationTable,
-    InputDataset,
     PercentileAssignment,
     PercentileRule,
     RankClassScheme,
@@ -40,12 +38,18 @@ from conftest import citation_tables, oracle_entries, spy, table_rows
 
 QUANTILE = PercentileRule.QUANTILE
 
-RECORDS = (
-    CitationRecord("A", "a1", 3, "article"),
-    CitationRecord("A", "a2", 0),
-    CitationRecord("B", "b1", 7, "review"),
-    CitationRecord("B", "b2", 7, "review"),
+ROWS = (
+    ("A", "a1", 3, "article"),
+    ("A", "a2", 0, None),
+    ("B", "b1", 7, "review"),
+    ("B", "b2", 7, "review"),
 )
+
+
+def _table(rows=ROWS) -> CitationTable:
+    """A new table of ``rows``, so that no test reads a tally another test memoized."""
+    return CitationTable(*zip(*rows))
+
 
 DOC_CSV = """set_id,paper_id,citations,doc_type
 A,a1,3,article
@@ -57,21 +61,20 @@ B,b3,7,article
 """
 
 
-def _csv_text(records) -> str:
+def _csv_text(table) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["set_id", "paper_id", "citations", "doc_type"])
-    writer.writerows(map(dataclasses.astuple, records))
+    writer.writerows(table_rows(table))
     return buffer.getvalue()
 
 
 # --- columns --------------------------------------------------------------------
 
 def test_table_columns_are_checked():
-    table = CitationTable.of(RECORDS)
+    table = _table()
     assert len(table) == 4
     assert table.doc_types == ("article", None, "review", "review")
-    assert CitationTable.of(table) is table
     assert CitationTable(["A"], ["p"], [0]).doc_types == (None,)
     with pytest.raises(ValueError, match="columns differ in length"):
         CitationTable(["A", "A"], ["p1", "p2"], [1])
@@ -80,8 +83,8 @@ def test_table_columns_are_checked():
 
 
 def test_concat_keeps_record_order():
-    parts = (CitationTable.of(RECORDS[:1]), CitationTable.of(RECORDS[1:3]), CitationTable.of(RECORDS[3:]))
-    assert table_rows(CitationTable.concat(iter(parts)), as_records=True) == list(RECORDS)
+    parts = (_table(ROWS[:1]), _table(ROWS[1:3]), _table(ROWS[3:]))
+    assert table_rows(CitationTable.concat(iter(parts))) == list(ROWS)
     assert len(CitationTable.concat([])) == 0
 
 
@@ -93,21 +96,12 @@ def test_table_rejects_a_repeated_paper_id_when_built():
         CitationTable.concat(parts)
 
 
-def test_dataset_holds_records_as_a_table():
-    dataset = InputDataset(RECORDS)
-    assert isinstance(dataset.records, CitationTable)
-    assert table_rows(dataset.records, as_records=True) == list(RECORDS) and dataset.row_count == 4
-    assert InputDataset(dataset.records).records is dataset.records
-
-
 def test_generate_set_is_deterministic_and_matches_its_records():
     spec = SetSpec("S", n=300, uncited_share=0.25, mu=1.5, sigma=1.0, seed=9)
     table = generate_set(spec)
     assert isinstance(table, CitationTable)
     assert table_rows(table) == table_rows(generate_set(spec))
-    assert table_rows(table, as_records=True) == [
-        CitationRecord("S", f"S-{index:05d}", count) for index, count in enumerate(table.citations)
-    ]
+    assert table_rows(table) == [("S", f"S-{index:05d}", count, None) for index, count in enumerate(table.citations)]
     assert table.citations[:75] == (0,) * 75 and min(table.citations[75:]) >= 1
 
 
@@ -116,24 +110,25 @@ def test_generated_ids_past_five_digits():
     assert table.paper_ids[99_999:] == ("W-99999", "W-100000")
 
 
-# --- the tally: one per (table, scope), equal to a plain list and the exact oracle ---
+# --- the tally: one per (table, scope), equal to a shuffled copy and the exact oracle ---
 
-@given(records=citation_tables(), seed=st.integers(min_value=0, max_value=2**16))
-def test_table_tally_matches_a_shuffled_list_and_the_oracle(records, seed):
-    table = parse_records(io.StringIO(_csv_text(records))).records
-    shuffled = table_rows(table, as_records=True)
+@given(drawn=citation_tables(), seed=st.integers(min_value=0, max_value=2**16))
+def test_table_tally_matches_a_shuffled_list_and_the_oracle(drawn, seed):
+    table = parse_records(io.StringIO(_csv_text(drawn))).records
+    rows = table_rows(table)
     shuffler = random.Random(seed)
-    shuffler.shuffle(shuffled)
+    shuffler.shuffle(rows)
+    shuffled = CitationTable(*zip(*rows))
     runs = [(rule, scope) for rule in PercentileRule for scope in ReferenceScope]
     shuffler.shuffle(runs)  # scopes interleave, so each rule reads a memo another scope left
     for rule, scope in runs:
         from_table = compute_percentiles(table, rule, scope)
-        from_list = compute_percentiles(shuffled, rule, scope)
+        from_shuffled = compute_percentiles(shuffled, rule, scope)
         assert list(from_table.entries) == list(table.paper_ids)
-        assert from_table.entries == from_list.entries
-        assert from_table.group_keys == from_list.group_keys
+        assert from_table.entries == from_shuffled.entries
+        assert from_table.group_keys == from_shuffled.group_keys
         for set_id in set(table.set_ids):
-            assert sorted(from_table.percentiles_for_set(set_id)) == sorted(from_list.percentiles_for_set(set_id))
+            assert sorted(from_table.percentiles_for_set(set_id)) == sorted(from_shuffled.percentiles_for_set(set_id))
         assert from_table.entries == oracle_entries(shuffled, rule, scope)
 
 
@@ -143,17 +138,12 @@ def _count_tallies(monkeypatch):
 
 def test_tally_runs_once_per_table_and_scope(monkeypatch):
     calls = _count_tallies(monkeypatch)
-    table = CitationTable.of(RECORDS)
+    table = _table()
     scopes = [ReferenceScope.GLOBAL_POOL, ReferenceScope.PER_SET, ReferenceScope.GLOBAL_POOL]
     for scope in scopes:
         for rule in PercentileRule:
             compute_percentiles(table, rule, scope)
     assert calls == [(id(table), ReferenceScope.GLOBAL_POOL), (id(table), ReferenceScope.PER_SET)]
-
-    # a plain list becomes a new table on every call, so nothing is shared between calls
-    for rule in PercentileRule:
-        compute_percentiles(list(RECORDS), rule)
-    assert len(calls) == 2 + len(PercentileRule)
 
 
 def test_pipelines_tally_once_per_scope(monkeypatch):
@@ -166,7 +156,7 @@ def test_pipelines_tally_once_per_scope(monkeypatch):
 
 
 def test_the_tally_holds_the_table_columns_and_no_paper_id_dict():
-    table = CitationTable.of(RECORDS)
+    table = _table()
     for scope in (ReferenceScope.GLOBAL_POOL, ReferenceScope.PER_SET):
         tally = compute_percentiles(table, QUANTILE, scope).tally
         assert tally.paper_ids is table.paper_ids and tally.set_ids is table.set_ids
@@ -179,27 +169,11 @@ def test_an_assignment_is_row_values_over_the_tally():
 
 def test_a_failed_tally_is_not_memoized(monkeypatch):
     calls = _count_tallies(monkeypatch)
-    table = CitationTable.of(RECORDS)  # a2 has no doc_type
+    table = _table()  # a2 has no doc_type
     for _ in range(2):
         with pytest.raises(ValueError, match="'a2' has no doc_type"):
             compute_percentiles(table, QUANTILE, ReferenceScope.PER_DOC_TYPE_POOL)
     assert len(calls) == 2
-
-
-def test_rank_and_simulate_build_no_records(monkeypatch, capsys, tmp_path):
-    built = spy(monkeypatch, CitationRecord, "__post_init__", note=lambda record: record.paper_id)
-    path = tmp_path / "doc.csv"
-    path.write_text(DOC_CSV)
-    rules = [flag for rule in PercentileRule for flag in ("--rule", rule.token)]
-    for extra in (["--per-paper"], ["--scheme", "nsf6"]):
-        assert main(["rank", "--input", str(path), *rules, "--scope", "per-set-and-doc-type", *extra]) == 0
-    sets = [{"set_id": set_id, "n": 40, "uncited_share": 0.25, "seed": seed}
-            for seed, set_id in enumerate("XYZ")]
-    config = tmp_path / "exp.json"
-    config.write_text(json.dumps({"sets": sets, "scope": "per-set"}))
-    assert main(["simulate", "--config", str(config)]) == 0
-    capsys.readouterr()
-    assert built == []
 
 
 def _count_paper_id_views(monkeypatch, names=("entries", "group_keys")):
@@ -284,13 +258,13 @@ def test_analysis_config_gives_unequal_schemes_their_own_columns():
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 150.0, -5.0, 100.000001])
 def test_top_share_threshold_outside_percentiles_rejected(threshold):
     message = rf"^top-share threshold {threshold} outside \[0, 100\]$"
-    assignment = compute_percentiles(RECORDS, QUANTILE)
+    assignment = compute_percentiles(_table(), QUANTILE)
     with pytest.raises(ValueError, match=message):
         top_count(assignment, "A", threshold)
 
 
 def test_top_share_threshold_bounds_accepted():
-    assignment = compute_percentiles(RECORDS, QUANTILE)
+    assignment = compute_percentiles(_table(), QUANTILE)
     assert top_count(assignment, "B", 0.0) == (2, 2)
     assert top_count(assignment, "B", 100.0) == (0, 2)
 

@@ -139,6 +139,25 @@ def test_rank_into_a_pipe_that_its_reader_closes_early_exits_0_quietly(wide_csv)
     assert (first, process.returncode, err) == (f"# citerank-i3 {citerank.__version__}\n".encode(), 0, b"")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [("ztest", "--k1", "20", "--n1", "100", "--k2", "10", "--n2", "100"), ("rank", "--input", REVIEWS)],
+    ids=["ztest", "rank"],
+)
+def test_a_short_report_into_a_closed_pipe_exits_0_quietly(monkeypatch, argv, unbuffered):
+    # The read end is closed before the child starts. A buffered stdout holds the whole short
+    # report, so the closed pipe is met at the flush, not at the write.
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        process = cli_process(*argv, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    _, err = process.communicate(timeout=60)
+    assert (process.returncode, err) == (0, b"")
+
+
 def test_rank_duplicate_rule_is_usage_error(capsys, multi_csv):
     code, out, err = run_cli(
         capsys, "rank", "--input", multi_csv, "--rule", "quantile", "--rule", "quantile"
@@ -530,6 +549,26 @@ def test_rank_input_that_is_not_utf8_is_one_line_error(capsys, tmp_path):
     assert err == f"error: {path} is not UTF-8 text: invalid continuation byte\n"
 
 
+@pytest.mark.parametrize("body", ["", "\n\n"], ids=["header-only", "blank-rows"])
+@pytest.mark.parametrize(
+    "command", [("rank",), ("compare-rules", "--rule", "quantile", "--rule", "lb09"), ("ztest", "--set-a", "A", "--set-b", "B")],
+    ids=["rank", "compare-rules", "ztest"],
+)
+def test_a_csv_that_holds_no_records_names_its_file(capsys, tmp_path, command, body):
+    path = tmp_path / "header.csv"
+    path.write_text("set_id,paper_id,citations\n" + body)
+    code, out, err = run_cli(capsys, command[0], "--input", str(path), *command[1:])
+    assert (code, out, err) == (1, "", f"error: empty input: {path}\n")
+
+
+def test_a_degenerate_pool_names_its_column(capsys, tmp_path):
+    # every paper is uncited: rousseau-raw scores each 100, quantile each 0
+    path = tmp_path / "uncited.csv"
+    path.write_text("set_id,paper_id,citations\nA,a1,0\nB,b1,0\n")
+    code, out, err = run_cli(capsys, "rank", "--input", str(path), "--rule", "rousseau-raw", "--rule", "quantile")
+    assert (code, out, err) == (1, "", "error: quantile_p100: degenerate pool: total I3 is zero\n")
+
+
 def test_cli_import_loads_neither_numpy_nor_fractions():
     # numpy and fractions (which loads decimal) are only needed to generate sets;
     # every other command should start without them
@@ -546,7 +585,7 @@ def test_result_types_are_tuples_whose_fields_are_the_json_layout(capsys, multi_
     results = (citerank.SetReport, citerank.RankingReport, citerank.CorrelationResult,
                citerank.ZTestResult, citerank.ExperimentConfig, citerank.DivergenceResult)
     assert all(issubclass(kind, tuple) for kind in results)
-    validating = (citerank.CitationRecord, citerank.InputDataset, citerank.AnalysisConfig,
+    validating = (citerank.InputDataset, citerank.AnalysisConfig,
                   citerank.SetSpec, citerank.PercentileAssignment, citerank.RankClassScheme)
     assert all(dataclasses.is_dataclass(kind) for kind in validating)
     _, out, _ = run_cli(capsys, "rank", "--input", multi_csv, "--format", "json")

@@ -17,7 +17,6 @@ from citerank import (
     P100,
     TOP10,
     AnalysisConfig,
-    CitationRecord,
     CitationTable,
     InputDataset,
     PercentileRule,
@@ -182,11 +181,10 @@ def test_pooled_fixture_matches_oracle():
     dataset = _dataset(TWO_SET_CSV)
     report = run_analysis(dataset, AnalysisConfig((QUANTILE,), (P100,)))
     # the 10 counts in one global reference group, scored by the exact oracle
-    records = table_rows(dataset.records, as_records=True)
-    oracle = oracle_entries(records, QUANTILE, ReferenceScope.GLOBAL_POOL)
+    oracle = oracle_entries(dataset.records, QUANTILE, ReferenceScope.GLOBAL_POOL)
     by_set: dict[str, list[float]] = {"A": [], "B": []}
-    for record in records:
-        by_set[record.set_id].append(oracle[record.paper_id])
+    for set_id, paper_id, _, _ in table_rows(dataset.records):
+        by_set[set_id].append(oracle[paper_id])
     import math
 
     totals = {set_id: math.fsum(values) for set_id, values in by_set.items()}
@@ -458,21 +456,20 @@ paper_rows = st.lists(
 @settings(deadline=None)
 @given(rows=paper_rows)
 def test_paper_table_matches_the_oracle_in_every_scope_and_format(rows):
-    records = tuple(
-        CitationRecord(set_id, f"{len(rows) - i:02d}{suffix}", count, doc_type)
+    table = CitationTable(*zip(*[
+        (set_id, f"{len(rows) - i:02d}{suffix}", count, doc_type)
         for i, (set_id, suffix, count, doc_type) in enumerate(rows)
-    )
-    dataset = InputDataset(records)
+    ]))
+    dataset = InputDataset(table)
     rules = tuple(PercentileRule)
     tokens = [rule.token for rule in rules]
     header = ["set_id", "paper_id", "citations"] + [f"pct_{token}" for token in tokens]
     for scope in ReferenceScope:
         # (set_id, paper_id, citations, {rule: exact percentile rounded once}) in (set_id, paper_id) order
-        exact = exact_percentiles(records, scope)
+        exact = exact_percentiles(table, scope)
         expected = [
-            (record.set_id, record.paper_id, record.citations,
-             {rule: float(exact[record.paper_id][rule.token]) for rule in rules})
-            for record in sorted(records, key=lambda record: (record.set_id, record.paper_id))
+            (set_id, paper_id, citations, {rule: float(exact[paper_id][rule.token]) for rule in rules})
+            for set_id, paper_id, citations, _ in sorted(table_rows(table))
         ]
         cells = [
             [set_id, paper_id, str(count)] + [f"{values[rule]:.6f}" for rule in rules]
@@ -538,17 +535,9 @@ def test_paper_json_equals_the_dict_payload_reference(rows, rules, scope):
 
 
 def test_paper_table_duplicate_id_error_unchanged():
-    records = (
-        CitationRecord("A", "p1", 1, "article"),
-        CitationRecord("A", "p2", 2),
-        CitationRecord("B", "p1", 3, "article"),
-    )
-    # the duplicate is reported before the missing doc_type of p2
-    for scope in ReferenceScope:
-        with pytest.raises(ValueError, match=r"^duplicate paper_id 'p1'$"):
-            emit_paper_percentiles(InputDataset(records), (QUANTILE,), scope)
-        with pytest.raises(ValueError, match=r"^duplicate paper_id 'p1'$"):
-            compute_percentiles(records, QUANTILE, scope)
+    # the duplicate is reported when the table is built, before any scope can miss the doc_type of p2
+    with pytest.raises(ValueError, match=r"^duplicate paper_id 'p1'$"):
+        CitationTable(["A", "A", "B"], ["p1", "p2", "p1"], [1, 2, 3], ["article", None, "article"])
 
 
 def test_paper_table_needs_a_rule():
@@ -562,16 +551,12 @@ def test_paper_table_needs_a_rule():
 
 @pytest.mark.parametrize("scope", [ReferenceScope.PER_DOC_TYPE_POOL, ReferenceScope.PER_SET_AND_DOC_TYPE])
 def test_paper_table_missing_doc_type_error_unchanged(scope):
-    records = (
-        CitationRecord("A", "p1", 1, "article"),
-        CitationRecord("A", "p2", 2),
-        CitationRecord("B", "p3", 3),
-    )
+    dataset = InputDataset(CitationTable(["A", "A", "B"], ["p1", "p2", "p3"], [1, 2, 3], ["article", None, None]))
     message = rf"^record 'p2' has no doc_type, required by scope '{scope.token}'$"
     with pytest.raises(ValueError, match=message):
-        emit_paper_percentiles(InputDataset(records), (QUANTILE,), scope)
+        emit_paper_percentiles(dataset, (QUANTILE,), scope)
     with pytest.raises(ValueError, match=message):
-        run_analysis(InputDataset(records), AnalysisConfig(scope=scope))
+        run_analysis(dataset, AnalysisConfig(scope=scope))
 
 
 def _count_tallies(monkeypatch):
@@ -821,7 +806,7 @@ def _reference_parse(text: str, newline) -> list[tuple] | str:
             if "doc_type" in at and len(cells) > at["doc_type"]:
                 doc_type = cells[at["doc_type"]].strip()
             rows.append((set_id, paper_id, citations, doc_type or None))
-        return rows
+        return rows or "empty input: <stream>"
     except csv.Error as exc:
         return f"malformed CSV at line {reader.line_num} of <stream>: {exc}"
 

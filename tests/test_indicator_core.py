@@ -15,7 +15,7 @@ from citerank import (
     P100,
     TOP10,
     AnalysisConfig,
-    CitationRecord,
+    CitationTable,
     InputDataset,
     PercentileRule,
     RankClassScheme,
@@ -31,7 +31,7 @@ from citerank import (
     top_share,
 )
 from citerank.indicator_core import _rule_value
-from conftest import citation_tables, group_percentiles, make_records, oracle_entries
+from conftest import citation_tables, group_percentiles, make_table, oracle_entries, table_rows
 
 RULES = list(PercentileRule)
 
@@ -104,39 +104,35 @@ def test_compute_percentiles_worked_set_lb09(worked_set):
 
 def test_compute_percentiles_single_record():
     assignment = compute_percentiles(
-        make_records([4]), PercentileRule.QUANTILE, ReferenceScope.PER_SET
+        make_table([4]), PercentileRule.QUANTILE, ReferenceScope.PER_SET
     )
     assert assignment.entries == {"a0": 0.0}
 
 
 def test_compute_percentiles_empty_input():
     with pytest.raises(ValueError, match="empty input"):
-        compute_percentiles([], PercentileRule.QUANTILE)
+        compute_percentiles(CitationTable([], [], []), PercentileRule.QUANTILE)
 
 
 def test_compute_percentiles_duplicate_paper_id():
-    records = [CitationRecord("A", "p1", 3), CitationRecord("B", "p1", 0)]
     with pytest.raises(ValueError, match="duplicate paper_id 'p1'"):
-        compute_percentiles(records, PercentileRule.QUANTILE)
+        compute_percentiles(CitationTable(["A", "B"], ["p1", "p1"], [3, 0]), PercentileRule.QUANTILE)
 
 
 def test_compute_percentiles_missing_doc_type_names_offender():
-    records = [
-        CitationRecord("A", "p1", 3, "article"),
-        CitationRecord("A", "p2", 0),
-    ]
+    records = CitationTable(["A", "A"], ["p1", "p2"], [3, 0], ["article", None])
     with pytest.raises(ValueError, match="'p2'"):
         compute_percentiles(records, PercentileRule.QUANTILE, ReferenceScope.PER_DOC_TYPE_POOL)
 
 
 def test_scope_partitions():
-    records = [
-        CitationRecord("A", "a1", 0, "article"),
-        CitationRecord("A", "a2", 9, "article"),
-        CitationRecord("A", "a3", 5, "review"),
-        CitationRecord("B", "b1", 9, "article"),
-        CitationRecord("B", "b2", 2, "review"),
-    ]
+    records = CitationTable(*zip(
+        ("A", "a1", 0, "article"),
+        ("A", "a2", 9, "article"),
+        ("A", "a3", 5, "review"),
+        ("B", "b1", 9, "article"),
+        ("B", "b2", 2, "review"),
+    ))
     per_set = compute_percentiles(records, PercentileRule.QUANTILE, ReferenceScope.PER_SET)
     assert per_set.group_keys == {"a1": "A", "a2": "A", "a3": "A", "b1": "B", "b2": "B"}
     # a2 is top of 3 in A; b1 is top of 2 in B
@@ -160,7 +156,7 @@ def test_scope_partitions():
 
 def test_per_set_and_doc_type_groups_by_the_pair_not_its_joined_label():
     # both pairs join to "a/b/c"; each paper is alone in its group, so scores 0 under quantile
-    records = [CitationRecord("a/b", "p1", 0, "c"), CitationRecord("a", "p2", 5, "b/c")]
+    records = CitationTable(["a/b", "a"], ["p1", "p2"], [0, 5], ["c", "b/c"])
     crossed = compute_percentiles(
         records, PercentileRule.QUANTILE, ReferenceScope.PER_SET_AND_DOC_TYPE
     )
@@ -169,8 +165,9 @@ def test_per_set_and_doc_type_groups_by_the_pair_not_its_joined_label():
 
 
 def test_compute_percentiles_order_independent(worked_set):
-    shuffled = list(worked_set)
-    random.Random(7).shuffle(shuffled)
+    rows = table_rows(worked_set)
+    random.Random(7).shuffle(rows)
+    shuffled = CitationTable(*zip(*rows))
     for rule in RULES:
         a = compute_percentiles(worked_set, rule, ReferenceScope.PER_SET)
         b = compute_percentiles(shuffled, rule, ReferenceScope.PER_SET)
@@ -278,13 +275,13 @@ def test_class_histogram_worked_set(worked_assignment):
 
 
 def test_class_histogram_all_bottom():
-    records = make_records([5, 5, 5, 5])
+    records = make_table([5, 5, 5, 5])
     assignment = compute_percentiles(records, PercentileRule.QUANTILE, ReferenceScope.PER_SET)
     assert class_histogram(assignment, NSF6, "A") == [4, 0, 0, 0, 0, 0]
 
 
 def test_class_histogram_single_top_item():
-    records = make_records([0] * 999 + [50])
+    records = make_table([0] * 999 + [50])
     assignment = compute_percentiles(records, PercentileRule.QUANTILE, ReferenceScope.PER_SET)
     hist = class_histogram(assignment, NSF6, "A")
     assert hist[5] == 1 and sum(hist) == 1000
@@ -306,14 +303,14 @@ def test_i3_examples(worked_assignment):
 
 
 def test_i3_two_class():
-    records = make_records([0, 1, 8, 9])
+    records = make_table([0, 1, 8, 9])
     assignment = compute_percentiles(records, PercentileRule.ROUSSEAU_RAW, ReferenceScope.PER_SET)
     # percentiles 25, 50, 75, 100 -> classes 1, 1, 1, 2
     assert i3(assignment, TOP10, "A") == 5.0
 
 
 def test_i3_all_zero_percentiles():
-    records = make_records([2, 2, 2])
+    records = make_table([2, 2, 2])
     assignment = compute_percentiles(records, PercentileRule.QUANTILE, ReferenceScope.PER_SET)
     assert i3(assignment, P100, "A") == 0.0
 
@@ -342,7 +339,7 @@ def test_percent_i3_empty():
 def _assignment_with(values):
     """Fake a per-set assignment carrying exactly these percentile values."""
     # distinct counts give every record a tally row of its own, in record order
-    records = make_records(range(len(values)))
+    records = make_table(range(len(values)))
     assignment = compute_percentiles(records, PercentileRule.QUANTILE, ReferenceScope.PER_SET)
     assert assignment.tally.row_of == list(range(len(values)))
     return type(assignment)(tuple(values), assignment.tally)
@@ -367,9 +364,9 @@ def test_top_share_unknown_set(worked_assignment):
 def test_oracle_examples(worked_set):
     oracle = oracle_entries(worked_set, PercentileRule.QUANTILE)
     assert oracle == {"a0": 0.0, "a1": 20.0, "a2": 20.0, "a3": 60.0, "a4": 80.0}
-    raw = oracle_entries(make_records([3, 3, 3]), PercentileRule.ROUSSEAU_RAW)
+    raw = oracle_entries(make_table([3, 3, 3]), PercentileRule.ROUSSEAU_RAW)
     assert raw == {"a0": 100.0, "a1": 100.0, "a2": 100.0}
-    revised = oracle_entries(make_records([0]), PercentileRule.ROUSSEAU_REVISED)
+    revised = oracle_entries(make_table([0]), PercentileRule.ROUSSEAU_REVISED)
     assert revised == {"a0": 0.0}
     assert group_percentiles([0, 1, 2])[1]["lb09"] == Fraction(190, 3)
 
@@ -393,7 +390,7 @@ def test_oracle_matches_compute_on_random_sets(rule):
     rnd = random.Random(rule.token)
     for _ in range(100):
         counts = [rnd.randint(0, 50) for _ in range(rnd.randint(1, 80))]
-        records = make_records(counts)
+        records = make_table(counts)
         fast = compute_percentiles(records, rule, ReferenceScope.PER_SET)
         assert fast.entries == oracle_entries(records, rule)
 
@@ -405,13 +402,13 @@ count_lists = st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max
 
 @given(counts=count_lists, rule=st.sampled_from(RULES))
 def test_percentiles_in_range(counts, rule):
-    assignment = compute_percentiles(make_records(counts), rule, ReferenceScope.PER_SET)
+    assignment = compute_percentiles(make_table(counts), rule, ReferenceScope.PER_SET)
     assert all(0.0 <= value <= 100.0 for value in assignment.entries.values())
 
 
 @given(counts=count_lists, rule=st.sampled_from(RULES))
 def test_equal_counts_equal_percentiles(counts, rule):
-    assignment = compute_percentiles(make_records(counts), rule, ReferenceScope.PER_SET)
+    assignment = compute_percentiles(make_table(counts), rule, ReferenceScope.PER_SET)
     by_count = {}
     for i, count in enumerate(counts):
         by_count.setdefault(count, set()).add(assignment.entries[f"a{i}"])
@@ -420,7 +417,7 @@ def test_equal_counts_equal_percentiles(counts, rule):
 
 @given(counts=count_lists, rule=st.sampled_from(RULES))
 def test_monotone_in_citations(counts, rule):
-    assignment = compute_percentiles(make_records(counts), rule, ReferenceScope.PER_SET)
+    assignment = compute_percentiles(make_table(counts), rule, ReferenceScope.PER_SET)
     pairs = sorted((count, assignment.entries[f"a{i}"]) for i, count in enumerate(counts))
     for (c_low, p_low), (c_high, p_high) in zip(pairs, pairs[1:]):
         if c_low < c_high:
@@ -432,7 +429,7 @@ def test_monotone_in_citations(counts, rule):
 
 @given(counts=count_lists)
 def test_affine_shift_identity(counts):
-    records = make_records(counts)
+    records = make_table(counts)
     quantile = compute_percentiles(records, PercentileRule.QUANTILE, ReferenceScope.PER_SET)
     lb09 = compute_percentiles(records, PercentileRule.LB09, ReferenceScope.PER_SET)
     shift = 90.0 / len(counts)
@@ -444,7 +441,7 @@ def test_affine_shift_identity(counts):
 
 @given(counts=count_lists)
 def test_rousseau_raw_top_is_100_and_quantile_bounded(counts):
-    records = make_records(counts)
+    records = make_table(counts)
     raw = compute_percentiles(records, PercentileRule.ROUSSEAU_RAW, ReferenceScope.PER_SET)
     top_id = f"a{counts.index(max(counts))}"
     assert raw.entries[top_id] == 100.0
@@ -455,7 +452,7 @@ def test_rousseau_raw_top_is_100_and_quantile_bounded(counts):
 
 @given(counts=count_lists)
 def test_rousseau_revised_zero_floor(counts):
-    records = make_records(counts)
+    records = make_table(counts)
     raw = compute_percentiles(records, PercentileRule.ROUSSEAU_RAW, ReferenceScope.PER_SET)
     revised = compute_percentiles(records, PercentileRule.ROUSSEAU_REVISED, ReferenceScope.PER_SET)
     for i, count in enumerate(counts):
@@ -470,7 +467,7 @@ def test_rousseau_revised_zero_floor(counts):
        split=st.integers(min_value=1, max_value=59))
 def test_i3_additive_over_partitions(counts, split):
     split = min(split, len(counts) - 1)
-    records = make_records(counts)
+    records = make_table(counts)
     assignment = compute_percentiles(records, PercentileRule.QUANTILE, ReferenceScope.PER_SET)
     whole = i3(assignment, P100, "A")
     values = [assignment.entries[f"a{i}"] for i in range(len(counts))]
@@ -487,11 +484,11 @@ def test_i3_additive_over_partitions(counts, split):
     rule=st.sampled_from(RULES),
 )
 def test_percent_i3_sums_to_100(count_sets, rule):
-    records = []
-    for s, counts in enumerate(count_sets):
-        records += make_records(counts, set_id=f"S{s}", prefix=f"s{s}_")
-    assignment = compute_percentiles(records, rule, ReferenceScope.GLOBAL_POOL)
-    set_ids = sorted({record.set_id for record in records})
+    table = CitationTable.concat(
+        make_table(counts, set_id=f"S{s}", prefix=f"s{s}_") for s, counts in enumerate(count_sets)
+    )
+    assignment = compute_percentiles(table, rule, ReferenceScope.GLOBAL_POOL)
+    set_ids = sorted(set(table.set_ids))
     totals = {set_id: i3(assignment, P100, set_id) for set_id in set_ids}
     if math.fsum(totals.values()) == 0.0:
         return  # degenerate pool is a documented error case
@@ -501,15 +498,15 @@ def test_percent_i3_sums_to_100(count_sets, rule):
 
 # --- set index and distinct-count tally -----------------------------------------
 
-@given(records=citation_tables())
-def test_compute_percentiles_and_set_index_match_brute_force(records):
-    set_ids = {record.set_id for record in records}
+@given(table=citation_tables())
+def test_compute_percentiles_and_set_index_match_brute_force(table):
     for scope in ReferenceScope:
         for rule in RULES:
-            assignment = compute_percentiles(records, rule, scope)
-            assert assignment.entries == oracle_entries(records, rule, scope)
-            for set_id in set_ids:
-                brute = [assignment.entries[record.paper_id] for record in records if record.set_id == set_id]
+            assignment = compute_percentiles(table, rule, scope)
+            assert assignment.entries == oracle_entries(table, rule, scope)
+            for set_id in set(table.set_ids):
+                brute = [assignment.entries[paper_id] for s, paper_id in zip(table.set_ids, table.paper_ids)
+                         if s == set_id]
                 assert sorted(assignment.percentiles_for_set(set_id)) == sorted(brute)
             with pytest.raises(ValueError, match="unknown set_id"):
                 assignment.percentiles_for_set("missing")
@@ -521,16 +518,15 @@ top_schemes = st.one_of(st.integers(1, 99).map(str), st.integers(1, 10**6 - 1).m
 )
 
 
-@given(records=citation_tables(), top=top_schemes, data=st.data())
-def test_set_aggregates_equal_a_per_paper_reference(records, top, data):
-    set_ids = sorted({record.set_id for record in records})
+@given(table=citation_tables(), top=top_schemes, data=st.data())
+def test_set_aggregates_equal_a_per_paper_reference(table, top, data):
     for scope in ReferenceScope:
         for rule in RULES:
-            assignment = compute_percentiles(records, rule, scope)
+            assignment = compute_percentiles(table, rule, scope)
             # the reference: each paper's exact percentile, rounded once, in table order
-            oracle = oracle_entries(records, rule, scope)
-            for set_id in set_ids:
-                values = [oracle[record.paper_id] for record in records if record.set_id == set_id]
+            oracle = oracle_entries(table, rule, scope)
+            for set_id in sorted(set(table.set_ids)):
+                values = [oracle[paper_id] for s, paper_id in zip(table.set_ids, table.paper_ids) if s == set_id]
                 assert assignment.percentiles_for_set(set_id) == values
                 for scheme in (P100, NSF6, top):
                     weights = [classify(value, scheme) for value in values]
@@ -544,17 +540,17 @@ def test_set_aggregates_equal_a_per_paper_reference(records, top, data):
                 assert top_count(assignment, set_id, threshold) == (sum(v >= threshold for v in values), len(values))
 
 
-@given(records=citation_tables(), rules=st.lists(st.sampled_from(RULES), min_size=1, max_size=6))
-def test_report_rows_equal_a_per_record_reference(records, rules):
+@given(table=citation_tables(), rules=st.lists(st.sampled_from(RULES), min_size=1, max_size=6))
+def test_report_rows_equal_a_per_record_reference(table, rules):
     # rules in any order, repeats included; the discrete schemes keep every total I3 above zero
     schemes = (NSF6, TOP10)
     keys = list(dict.fromkeys(f"{rule.token}_{scheme.label}" for rule in rules for scheme in schemes))
-    dataset = InputDataset(records)
+    dataset = InputDataset(table)
     for scope in ReferenceScope:
-        oracle = oracle_entries(records, rules[0], scope)
+        oracle = oracle_entries(table, rules[0], scope)
         by_set = {}
-        for record in records:
-            by_set.setdefault(record.set_id, []).append((record.citations, oracle[record.paper_id]))
+        for set_id, paper_id, citations, _ in table_rows(table):
+            by_set.setdefault(set_id, []).append((citations, oracle[paper_id]))
         weight = {set_id: sum(classify(value, NSF6) for _, value in papers) for set_id, papers in by_set.items()}
         report = run_analysis(dataset, AnalysisConfig(tuple(rules), schemes, scope))
         assert [row.set_id for row in report.rows] == sorted(by_set, key=lambda set_id: (-weight[set_id], set_id))
@@ -576,7 +572,7 @@ def test_percentiles_for_set_returns_a_fresh_list(worked_assignment):
 
 def test_lb09_on_a_class_bound_is_exactly_on_it():
     # n=21, lower=18: (100 * 18 + 90) / 21 is exactly 90, the nsf6 class-4 and top-10% bound
-    records = make_records(range(21))
+    records = make_table(range(21))
     fast = compute_percentiles(records, PercentileRule.LB09, ReferenceScope.PER_SET)
     slow = oracle_entries(records, PercentileRule.LB09)
     for entries in (fast.entries, slow):

@@ -226,14 +226,14 @@ def test_ztest_degenerate_pool(k1, k2):
 
 def test_quantile_lb09_percentiles_correlate_exactly_within_one_group():
     from citerank import PercentileRule, ReferenceScope, compute_percentiles
-    from conftest import make_records
+    from conftest import make_table
 
     rnd = random.Random(23)
     for _ in range(20):
         counts = [rnd.randint(0, 40) for _ in range(rnd.randint(3, 100))]
         if len(set(counts)) < 2:
             continue  # constant vectors have no correlation
-        records = make_records(counts)
+        records = make_table(counts)
         quantile = compute_percentiles(records, PercentileRule.QUANTILE, ReferenceScope.PER_SET)
         lb09 = compute_percentiles(records, PercentileRule.LB09, ReferenceScope.PER_SET)
         order = sorted(quantile.entries)
