@@ -3,52 +3,50 @@
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from collections.abc import Callable, Sequence
 from pathlib import Path
 from typing import TextIO
 
-from ._version import __version__
-from .data_pipeline import (
-    FORMATS,
-    AnalysisConfig,
-    emit_paper_percentiles,
-    emit_ranking_table,
-    load_records,
-    run_analysis,
-)
-from .indicator_core import (
-    P100,
-    TOP_SHARE_THRESHOLD,
-    PercentileRule,
-    RankClassScheme,
-    ReferenceScope,
-    compute_percentiles,
-    top_count,
-)
-from .rank_stats import ztest_proportions
-from .synth_bench import (
-    DivergenceResult,
-    divergence_from_report,
-    emit_divergence,
-    fixture_path,
-    load_experiment_config,
-    override_seeds,
-    run_divergence_experiment,
-)
+from ._version import FORMATS, __version__
+
+# The module of each name the commands call; each command binds just its own modules' names.
+_MODULE_OF = {name: module for module, names in [
+    ("data_pipeline", "AnalysisConfig emit_paper_percentiles emit_ranking_table load_records run_analysis"),
+    ("indicator_core", "P100 PercentileRule RankClassScheme ReferenceScope compute_percentiles top_count"),
+    ("rank_stats", "ztest_proportions"),
+    ("synth_bench", "DivergenceResult divergence_from_report emit_divergence fixture_path load_experiment_config "
+                    "override_seeds run_divergence_experiment"),
+] for name in names.split()}
+
+
+def _bind(*modules: str) -> None:
+    """Bind here every name of the table from ``modules``; a name already set (by a tracer, say) keeps its value."""
+    for name, module in _MODULE_OF.items():
+        if module in modules:
+            globals().setdefault(name, getattr(importlib.import_module(f".{module}", __package__), name))
+
+
+def __getattr__(name: str) -> object:
+    """A name of the table read before its command ran: bind its module (PEP 562)."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_MODULE_OF[name])
+    return globals()[name]
 
 
 class _UsageError(ValueError):
     """Bad flag combinations detected after argparse; exits with status 2."""
 
 
-def _token(parse: Callable[[str], object]) -> Callable[[str], object]:
-    """An argparse ``type`` that reports ``parse``'s ``ValueError`` as a usage error."""
+def _token(kind: str) -> Callable[[str], object]:
+    """An argparse ``type``: ``from_token`` of the class named ``kind``, its ``ValueError`` a usage error."""
 
     def convert(token: str) -> object:
         try:
-            return parse(token)
+            return __getattr__(kind).from_token(token)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -102,6 +100,7 @@ def _write_divergence(result: DivergenceResult, fmt: str) -> None:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
+    _bind("data_pipeline", "indicator_core")
     rules = _distinct("rule", args.rule or [PercentileRule.QUANTILE], "token")
     schemes = _distinct("scheme", args.scheme or [P100], "label")
     dataset = load_records(args.input)
@@ -115,6 +114,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def cmd_compare_rules(args: argparse.Namespace) -> int:
+    _bind("data_pipeline", "synth_bench")
     rules = _distinct("rule", args.rule or [], "token")
     if len(rules) < 2:
         raise _UsageError("compare-rules needs at least 2 distinct --rule flags")
@@ -125,18 +125,20 @@ def cmd_compare_rules(args: argparse.Namespace) -> int:
 
 
 def cmd_ztest(args: argparse.Namespace) -> int:
+    _bind("rank_stats")
     count_flags = [args.k1, args.n1, args.k2, args.n2]
     if args.input is not None:
         if any(flag is not None for flag in count_flags):
             raise _UsageError("use either --input with set ids or --k1/--n1/--k2/--n2, not both")
         if args.set_a is None or args.set_b is None:
             raise _UsageError("dataset mode requires --set-a and --set-b")
-        threshold = TOP_SHARE_THRESHOLD if args.threshold is None else args.threshold
+        _bind("data_pipeline", "indicator_core")
+        threshold = () if args.threshold is None else (args.threshold,)  # top_count's default otherwise
         dataset = load_records(args.input)
         assignment = compute_percentiles(dataset.records, args.rule or PercentileRule.QUANTILE,
                                          args.scope or ReferenceScope.GLOBAL_POOL)
-        k1, n1 = top_count(assignment, args.set_a, threshold)
-        k2, n2 = top_count(assignment, args.set_b, threshold)
+        k1, n1 = top_count(assignment, args.set_a, *threshold)
+        k2, n2 = top_count(assignment, args.set_b, *threshold)
     else:
         dataset_flags = {"--set-a": args.set_a, "--set-b": args.set_b, "--threshold": args.threshold,
                          "--rule": args.rule, "--scope": args.scope}
@@ -170,6 +172,7 @@ def _resolve_config(token: str) -> Path:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _bind("synth_bench")
     config = load_experiment_config(_resolve_config(args.config))
     if args.seed is not None:
         config = override_seeds(config, args.seed)
@@ -185,17 +188,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"citerank-i3 {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    rule, scheme, scope = (
-        _token(kind.from_token) for kind in (PercentileRule, RankClassScheme, ReferenceScope)
-    )
+    rule, scheme, scope = _token("PercentileRule"), _token("RankClassScheme"), _token("ReferenceScope")
 
-    rank = sub.add_parser("rank", help="rank sets by %I3 (or emit per-paper percentiles)")
+    rank = sub.add_parser("rank", help="rank sets by %%I3 (or emit per-paper percentiles)")
     rank.add_argument("--input", required=True, help="CSV with set_id,paper_id,citations[,doc_type]")
     rank.add_argument("--rule", action="append", type=rule,
                       help="counting rule (repeatable): quantile | lb09 | rousseau-raw | rousseau; default quantile")
     rank.add_argument("--scheme", action="append", type=scheme,
                       help="rank-class scheme (repeatable): p100 | nsf6 | top<P>; default p100")
-    rank.add_argument("--scope", type=scope, default=ReferenceScope.GLOBAL_POOL,
+    rank.add_argument("--scope", type=scope, default="global",
                       help="reference group: global | per-set | per-doc-type | per-set-and-doc-type")
     rank.add_argument("--format", choices=FORMATS, default="delimited")
     rank.add_argument("--output", help="write the report here instead of stdout")
@@ -203,11 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
                       help="emit the per-paper percentile table instead of the set ranking")
     rank.set_defaults(func=cmd_rank)
 
-    compare = sub.add_parser("compare-rules", help="correlate per-set %I3 across counting rules")
+    compare = sub.add_parser("compare-rules", help="correlate per-set %%I3 across counting rules")
     compare.add_argument("--input", required=True)
     compare.add_argument("--rule", action="append", type=rule, help="repeat for each rule (>= 2)")
-    compare.add_argument("--scheme", type=scheme, default=P100)
-    compare.add_argument("--scope", type=scope, default=ReferenceScope.GLOBAL_POOL)
+    compare.add_argument("--scheme", type=scheme, default="p100")
+    compare.add_argument("--scope", type=scope, default="global")
     compare.add_argument("--format", choices=FORMATS, default="delimited")
     compare.set_defaults(func=cmd_compare_rules)
 

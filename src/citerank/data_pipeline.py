@@ -23,7 +23,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
-from ._version import __version__
+from ._version import FORMATS, __version__
 from .indicator_core import (
     P100,
     TOP_SHARE_THRESHOLD,
@@ -52,8 +52,6 @@ __all__ = [
 ]
 
 REQUIRED_COLUMNS = ("set_id", "paper_id", "citations")
-
-FORMATS = ("delimited", "aligned", "json")
 
 # Rows parsed per chunk: the raw rows of one chunk are alive at a time.
 CHUNK_ROWS = 4096

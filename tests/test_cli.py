@@ -16,7 +16,9 @@ import pytest
 
 import citerank
 from citerank import (
+    P100,
     PercentileRule,
+    ReferenceScope,
     emit_divergence,
     emit_paper_percentiles,
     fixture_path,
@@ -24,7 +26,8 @@ from citerank import (
     load_records,
     run_divergence_experiment,
 )
-from citerank.cli import WRITE_SLICE, main
+from citerank.cli import WRITE_SLICE, build_parser, main
+from conftest import spy
 
 REVIEWS = str(fixture_path("reviews10.csv"))
 
@@ -579,6 +582,103 @@ def test_cli_import_loads_neither_numpy_nor_fractions():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert result.stdout.strip() == "[]"
+
+
+COMMAND_MODULES = {f"citerank.{name}" for name in ("data_pipeline", "indicator_core", "rank_stats", "synth_bench")}
+
+
+def loaded_modules(probe, *argv):
+    """Exit code, and the sorted ``citerank.*`` modules loaded at exit, of ``python -c probe *argv``."""
+    code = ("import atexit, sys\n"
+            "atexit.register(lambda: print(sorted(m for m in sys.modules if m.startswith('citerank')), file=sys.stderr))\n"
+            + probe)
+    env = {**os.environ, "PYTHONPATH": str(Path(citerank.__file__).parent.parent)}
+    result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+    return result.returncode, ast.literal_eval(result.stderr.splitlines()[-1])
+
+
+@pytest.mark.parametrize("probe, modules", [
+    ("import citerank", ["citerank", "citerank._version"]),
+    # a submodule name is not resolved as an exported name: importing it loads it alone
+    ("from citerank import cli", ["citerank", "citerank._version", "citerank.cli"]),
+])
+def test_import_loads_only_what_it_names(probe, modules):
+    assert loaded_modules(probe) == (0, modules)
+
+
+# `python -m citerank.cli *argv`, with the module run as __main__ the way -m runs it
+RUN_CLI = "import runpy; runpy.run_module('citerank.cli', run_name='__main__', alter_sys=True)"
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["rank", "--help"]])
+def test_version_and_help_load_no_command_module(argv):
+    code, modules = loaded_modules(RUN_CLI, *argv)
+    assert code == 0 and COMMAND_MODULES.isdisjoint(modules)
+
+
+def test_rank_loads_neither_synth_bench_nor_rank_stats():
+    code, modules = loaded_modules(RUN_CLI, "rank", "--input", REVIEWS)
+    assert code == 0 and "citerank.data_pipeline" in modules
+    assert {"citerank.synth_bench", "citerank.rank_stats"}.isdisjoint(modules)
+
+
+def test_every_name_in_the_cli_table_is_exported_by_its_module_and_used():
+    from citerank import cli
+
+    assert [name for name, module in cli._MODULE_OF.items()
+            if name not in importlib.import_module(f"citerank.{module}").__all__] == []
+    tree = ast.parse(Path(cli.__file__).read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a parser type names its class as a string, so that building the parser loads no command module
+    used |= {node.args[0].value for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_token"}
+    assert sorted(set(cli._MODULE_OF) - used) == []
+
+
+def test_a_name_rebound_before_its_command_runs_keeps_its_value(monkeypatch, capsys):
+    # perfbench's tracer rebinds cli names this way, possibly before any command has bound them
+    from citerank import cli
+
+    monkeypatch.delitem(vars(cli), "load_records", raising=False)
+    calls = spy(monkeypatch, cli, "load_records")
+    assert run_cli(capsys, "rank", "--input", REVIEWS)[0] == 0
+    assert calls == [(REVIEWS,)]
+
+
+def test_an_unknown_package_name_raises_the_usual_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'citerank' has no attribute 'no_such_name'$"):
+        citerank.no_such_name
+
+
+def test_star_import_binds_every_exported_name():
+    probe = "from citerank import *\nimport citerank\nassert [n for n in citerank.__all__ if n not in globals()] == []"
+    assert loaded_modules(probe)[0] == 0
+
+
+def test_string_defaults_parse_to_typed_values():
+    parser = build_parser()
+    assert parser.parse_args(["rank", "--input", "x"]).scope is ReferenceScope.GLOBAL_POOL
+    compare = parser.parse_args(["compare-rules", "--input", "x"])
+    assert compare.scheme == P100 and compare.scope is ReferenceScope.GLOBAL_POOL
+
+
+def test_an_unknown_format_is_a_usage_error_that_lists_the_formats(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["rank", "--input", "x", "--format", "bogus"])
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err == (
+        "usage: citerank rank [-h] --input INPUT [--rule RULE] [--scheme SCHEME]\n"
+        "                     [--scope SCOPE] [--format {delimited,aligned,json}]\n"
+        "                     [--output OUTPUT] [--per-paper]\n"
+        "citerank rank: error: argument --format: invalid choice: 'bogus' (choose from 'delimited', 'aligned', 'json')\n"
+    )
+
+
+def test_cli_and_data_pipeline_share_one_formats_tuple():
+    from citerank import cli, data_pipeline
+
+    assert cli.FORMATS is data_pipeline.FORMATS == ("delimited", "aligned", "json")
 
 
 def test_result_types_are_tuples_whose_fields_are_the_json_layout(capsys, multi_csv):
