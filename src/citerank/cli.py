@@ -14,7 +14,7 @@ from ._version import FORMATS, __version__
 
 # The module of each name the commands call; each command binds just its own modules' names.
 _MODULE_OF = {name: module for module, names in [
-    ("data_pipeline", "AnalysisConfig emit_paper_percentiles emit_ranking_table load_records run_analysis"),
+    ("data_pipeline", "emit_paper_percentiles emit_ranking_table load_records run_analysis"),
     ("indicator_core", "P100 PercentileRule RankClassScheme ReferenceScope compute_percentiles top_count"),
     ("rank_stats", "ztest_proportions"),
     ("synth_bench", "DivergenceResult divergence_from_report emit_divergence fixture_path load_experiment_config "
@@ -100,15 +100,16 @@ def _write_divergence(result: DivergenceResult, fmt: str) -> None:
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
+    if args.per_paper and args.scheme:
+        raise _UsageError("--scheme has no effect with --per-paper")
     _bind("data_pipeline", "indicator_core")
     rules = _distinct("rule", args.rule or [PercentileRule.QUANTILE], "token")
     schemes = _distinct("scheme", args.scheme or [P100], "label")
-    dataset = load_records(args.input)
+    records = load_records(args.input)
     if args.per_paper:
-        text = emit_paper_percentiles(dataset, rules, args.scope, args.format)
+        text = emit_paper_percentiles(records, rules, args.scope, args.format)
     else:
-        config = AnalysisConfig(rules, schemes, args.scope)
-        text = emit_ranking_table(run_analysis(dataset, config), args.format)
+        text = emit_ranking_table(run_analysis(records, rules, schemes, args.scope), args.format)
     _write(text, args.output)
     return 0
 
@@ -118,8 +119,7 @@ def cmd_compare_rules(args: argparse.Namespace) -> int:
     rules = _distinct("rule", args.rule or [], "token")
     if len(rules) < 2:
         raise _UsageError("compare-rules needs at least 2 distinct --rule flags")
-    dataset = load_records(args.input)
-    report = run_analysis(dataset, AnalysisConfig(rules, (args.scheme,), args.scope))
+    report = run_analysis(load_records(args.input), rules, (args.scheme,), args.scope)
     _write_divergence(divergence_from_report(report, args.scheme), args.format)
     return 0
 
@@ -134,8 +134,7 @@ def cmd_ztest(args: argparse.Namespace) -> int:
             raise _UsageError("dataset mode requires --set-a and --set-b")
         _bind("data_pipeline", "indicator_core")
         threshold = () if args.threshold is None else (args.threshold,)  # top_count's default otherwise
-        dataset = load_records(args.input)
-        assignment = compute_percentiles(dataset.records, args.rule or PercentileRule.QUANTILE,
+        assignment = compute_percentiles(load_records(args.input), args.rule or PercentileRule.QUANTILE,
                                          args.scope or ReferenceScope.GLOBAL_POOL)
         k1, n1 = top_count(assignment, args.set_a, *threshold)
         k2, n2 = top_count(assignment, args.set_b, *threshold)

@@ -11,13 +11,11 @@ from __future__ import annotations
 import csv
 import gc
 import io
-import json
 import re
 import sys
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -39,8 +37,6 @@ from .indicator_core import (
 )
 
 __all__ = [
-    "InputDataset",
-    "AnalysisConfig",
     "RankingReport",
     "pair_key",
     "parse_records",
@@ -63,32 +59,6 @@ _QUOTED = re.compile(r'[,"\r\n]')
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-@dataclass(frozen=True)
-class InputDataset:
-    """Validated citation records, held as one :class:`CitationTable`."""
-
-    records: CitationTable
-
-    @property
-    def row_count(self) -> int:
-        return len(self.records)
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Which rules, schemes, and reference scope an analysis runs under."""
-
-    rules: tuple[PercentileRule, ...] = (PercentileRule.QUANTILE,)
-    schemes: tuple[RankClassScheme, ...] = (P100,)
-    scope: ReferenceScope = ReferenceScope.GLOBAL_POOL
-
-    def __post_init__(self) -> None:
-        if not self.rules:
-            raise ValueError("at least one rule required")
-        if not self.schemes:
-            raise ValueError("at least one scheme required")
-
-
 class RankingReport(NamedTuple):
     """Ordered set-level report rows for a rule/scheme grid.
 
@@ -107,8 +77,8 @@ def pair_key(rule: PercentileRule, scheme: RankClassScheme) -> str:
     return f"{rule.token}_{scheme.label}"
 
 
-def parse_records(stream: TextIO, source: str = "<stream>") -> InputDataset:
-    """Parse a CSV stream of citation records.
+def parse_records(stream: TextIO, source: str = "<stream>") -> CitationTable:
+    """Parse a CSV stream of citation records into one :class:`CitationTable`.
 
     The first row must be a header containing at least the columns
     ``set_id``, ``paper_id``, and ``citations``; a ``doc_type`` column is
@@ -146,7 +116,7 @@ def parse_records(stream: TextIO, source: str = "<stream>") -> InputDataset:
             gc.enable()
 
 
-def _parse_rows(reader: Iterator[list[str]], source: str) -> InputDataset:
+def _parse_rows(reader: Iterator[list[str]], source: str) -> CitationTable:
     try:
         header = next(reader)
     except StopIteration:
@@ -187,7 +157,7 @@ def _parse_rows(reader: Iterator[list[str]], source: str) -> InputDataset:
     # each list is freed as soon as its tuple is built, before the next tuple
     columns = [tuple(columns.pop(0)) for _ in range(len(columns))]
     try:
-        return InputDataset(CitationTable(*columns))
+        return CitationTable(*columns)
     except ValueError:  # a negative count, or a repeated paper_id
         _raise_first_bad_row(columns, blanks, [], first, index, width)
         raise
@@ -251,12 +221,17 @@ def _checked_row(row: list[str], number: int, index: dict[str, int], width: int)
         raise ValueError(f"citation count at row {number} has too many digits") from None
 
 
-def load_records(path: str | Path) -> InputDataset:
+def load_records(path: str | Path) -> CitationTable:
     with open(path, newline="", encoding="utf-8") as handle:
         return parse_records(handle, source=str(path))
 
 
-def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport:
+def run_analysis(
+    records: CitationTable,
+    rules: Sequence[PercentileRule] = (PercentileRule.QUANTILE,),
+    schemes: Sequence[RankClassScheme] = (P100,),
+    scope: ReferenceScope = ReferenceScope.GLOBAL_POOL,
+) -> RankingReport:
     """Full pipeline: percentiles, per-set I3 and %I3, ranks, top-share.
 
     Composes :func:`compute_percentiles`, :func:`i3`, :func:`percent_i3`,
@@ -268,10 +243,16 @@ def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport
     pass then writes its I3, %I3 and rank into every row; a repeated rule
     or scheme is computed once, and its columns repeat. One rule's
     assignment is alive at a time. Deterministic for any input ordering.
+    Raises ``ValueError`` when ``rules`` or ``schemes`` is empty.
     """
+    rules, schemes = tuple(rules), tuple(schemes)
+    if not rules:
+        raise ValueError("at least one rule required")
+    if not schemes:
+        raise ValueError("at least one scheme required")
     rows: list[SetReport] = []
-    for rule in dict.fromkeys(config.rules):
-        assignment = compute_percentiles(dataset.records, rule, config.scope)
+    for rule in dict.fromkeys(rules):
+        assignment = compute_percentiles(records, rule, scope)
         if not rows:
             counts = [count for count, _, _, _ in assignment.tally.rows]
             rows = [
@@ -279,7 +260,7 @@ def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport
                           top_share(assignment, set_id, TOP_SHARE_THRESHOLD))
                 for set_id, tally_rows in sorted(assignment.tally.rows_by_set.items())
             ]
-        for scheme in dict.fromkeys(config.schemes):
+        for scheme in dict.fromkeys(schemes):
             key = pair_key(rule, scheme)
             i3_by_set = {row.set_id: i3(assignment, scheme, row.set_id) for row in rows}
             try:
@@ -293,9 +274,9 @@ def run_analysis(dataset: InputDataset, config: AnalysisConfig) -> RankingReport
                 row.rank[key] = bisect_left(descending, -row.percent_i3[key]) + 1
         del assignment
 
-    primary = pair_key(config.rules[0], config.schemes[0])
+    primary = pair_key(rules[0], schemes[0])
     rows.sort(key=lambda row: (-row.percent_i3[primary], row.set_id))
-    return RankingReport(tuple(rows), config.rules, config.schemes, config.scope)
+    return RankingReport(tuple(rows), rules, schemes, scope)
 
 
 def _check_format(fmt: str) -> None:
@@ -346,6 +327,8 @@ def emit_ranking_table(report: RankingReport, fmt: str = "delimited") -> str:
     if not report.rows:
         raise ValueError("empty report")
     if fmt == "json":
+        import json  # here, so that a delimited or aligned report never loads it
+
         document = {
             "version": __version__,
             "rules": [rule.token for rule in report.rules],
@@ -409,7 +392,7 @@ def parse_ranking_table(text: str) -> list[dict[str, object]]:
 
 
 def emit_paper_percentiles(
-    dataset: InputDataset,
+    records: CitationTable,
     rules: Sequence[PercentileRule],
     scope: ReferenceScope = ReferenceScope.GLOBAL_POOL,
     fmt: str = "delimited",
@@ -430,18 +413,17 @@ def emit_paper_percentiles(
     set and row pieces. Aligned puts a run of spaces, shared by all ids of a
     length, before each id; json ends each paper with a separator piece.
     """
-    table = dataset.records
     _check_format(fmt)
     if not rules:
         raise ValueError("at least one rule required")
-    assignments = {rule: compute_percentiles(table, rule, scope) for rule in dict.fromkeys(rules)}
-    tally = assignments[rules[0]].tally  # every rule's assignment over the table and scope shares it
+    assignments = {rule: compute_percentiles(records, rule, scope) for rule in dict.fromkeys(rules)}
+    tally = assignments[rules[0]].tally  # every rule's assignment over the records and scope shares it
     row_values = [assignments[rule].row_values for rule in rules]
-    set_ids, paper_ids, row_of = table.set_ids, table.paper_ids, tally.row_of
+    set_ids, paper_ids, row_of = records.set_ids, records.paper_ids, tally.row_of
     counts = [count for count, _, _, _ in tally.rows]
     # Sorting after the tally keeps the index list out of the tally's peak memory.
     # Two stable sorts give the (set_id, paper_id) order without building tuple keys.
-    order = sorted(range(len(table)), key=paper_ids.__getitem__)
+    order = sorted(range(len(records)), key=paper_ids.__getitem__)
     order.sort(key=set_ids.__getitem__)
     order = array("I", order)  # its int objects are freed before the text is built
 
@@ -451,6 +433,8 @@ def emit_paper_percentiles(
 
     tokens = [rule.token for rule in rules]
     if fmt == "json":
+        import json
+
         # a rule named twice keeps its first key and its last value, as a dict does
         document = {"version": __version__, "rules": tokens, "scope": scope.token, "papers": []}
         head, tail = json.dumps(document, indent=2).rsplit("[]", 1)

@@ -17,7 +17,6 @@ import re
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -108,8 +107,7 @@ _NSF6_BOUNDS = (0.0, 50.0, 75.0, 90.0, 95.0, 99.0)
 _TOP_TOKEN = re.compile(r"top0*([0-9]+?)(?:\.(?=[0-9])([0-9]*[1-9])?0*)?")
 
 
-@dataclass(frozen=True)
-class RankClassScheme:
+class RankClassScheme(NamedTuple):
     """Weighting of the percentile axis for I3 aggregation: a canonical token and its class bounds.
 
     ``p100`` keeps the continuous percentile as the weight (``lower_bounds``
@@ -198,9 +196,18 @@ class CitationTable:
     def __len__(self) -> int:
         return len(self.paper_ids)
 
+    @property
+    def row_count(self) -> int:
+        """``len(self)``, read only by the benchmark's tracer (``perfbench/tracing.py``); ROADMAP item 2 deletes it."""
+        return len(self)
 
-@dataclass(frozen=True)
-class PercentileAssignment:
+
+class _AssignmentColumns(NamedTuple):
+    row_values: tuple[float, ...]
+    tally: _Tally
+
+
+class PercentileAssignment(_AssignmentColumns):  # subclassed, as _Tally is, for its cached views
     """One counting rule's percentiles: a value per row of the tally they were computed from.
 
     ``tally`` is the rule-independent tally that all rules' assignments
@@ -219,9 +226,6 @@ class PercentileAssignment:
     its ``row_values`` at those rows once. :func:`class_histogram`
     classifies each distinct value of a set once, with its multiplicity.
     """
-
-    row_values: tuple[float, ...]
-    tally: _Tally = field(repr=False)
 
     @cached_property
     def entries(self) -> dict[str, float]:

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ._version import __version__
-from .data_pipeline import AnalysisConfig, InputDataset, RankingReport, pair_key, run_analysis
+from .data_pipeline import RankingReport, pair_key, run_analysis
 from .data_pipeline import _aligned_line, _csv_line, _report
 from .indicator_core import (
     P100,
@@ -207,10 +207,7 @@ def run_divergence_experiment(
         raise ValueError("need at least 2 rules")
     _check_distinct_set_ids(specs)
     records = CitationTable.concat(generate_set(spec) for spec in specs)
-    dataset = InputDataset(records)
-    config = AnalysisConfig(tuple(rules), (scheme,), scope)
-    report = run_analysis(dataset, config)
-    return divergence_from_report(report, scheme)
+    return divergence_from_report(run_analysis(records, rules, (scheme,), scope), scheme)
 
 
 def _check_distinct_set_ids(specs: Sequence[SetSpec]) -> None:

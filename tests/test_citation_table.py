@@ -4,7 +4,6 @@ paths that read columns without building records."""
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -17,7 +16,6 @@ from hypothesis import strategies as st
 from citerank import (
     NSF6,
     P100,
-    AnalysisConfig,
     CitationTable,
     PercentileAssignment,
     PercentileRule,
@@ -114,7 +112,7 @@ def test_generated_ids_past_five_digits():
 
 @given(drawn=citation_tables(), seed=st.integers(min_value=0, max_value=2**16))
 def test_table_tally_matches_a_shuffled_list_and_the_oracle(drawn, seed):
-    table = parse_records(io.StringIO(_csv_text(drawn))).records
+    table = parse_records(io.StringIO(_csv_text(drawn)))
     rows = table_rows(table)
     shuffler = random.Random(seed)
     shuffler.shuffle(rows)
@@ -148,11 +146,11 @@ def test_tally_runs_once_per_table_and_scope(monkeypatch):
 
 def test_pipelines_tally_once_per_scope(monkeypatch):
     calls = _count_tallies(monkeypatch)
-    dataset = parse_records(io.StringIO(DOC_CSV))
+    table = parse_records(io.StringIO(DOC_CSV))
     scope = ReferenceScope.PER_SET_AND_DOC_TYPE
-    emit_paper_percentiles(dataset, tuple(PercentileRule), scope)
-    run_analysis(dataset, AnalysisConfig(tuple(PercentileRule), (P100, NSF6), scope))
-    assert calls == [(id(dataset.records), scope)]
+    emit_paper_percentiles(table, tuple(PercentileRule), scope)
+    run_analysis(table, rules=tuple(PercentileRule), schemes=(P100, NSF6), scope=scope)
+    assert calls == [(id(table), scope)]
 
 
 def test_the_tally_holds_the_table_columns_and_no_paper_id_dict():
@@ -164,7 +162,7 @@ def test_the_tally_holds_the_table_columns_and_no_paper_id_dict():
 
 
 def test_an_assignment_is_row_values_over_the_tally():
-    assert [field.name for field in dataclasses.fields(PercentileAssignment)] == ["row_values", "tally"]
+    assert PercentileAssignment._fields == ("row_values", "tally")
 
 
 def test_a_failed_tally_is_not_memoized(monkeypatch):
@@ -200,7 +198,7 @@ def test_cli_paths_build_no_paper_id_keyed_dict(monkeypatch, capsys, tmp_path):
     assert main(["simulate", "--config", str(config)]) == 0
     capsys.readouterr()
     assert built == []
-    assignment = compute_percentiles(parse_records(io.StringIO(DOC_CSV)).records, QUANTILE)
+    assignment = compute_percentiles(parse_records(io.StringIO(DOC_CSV)), QUANTILE)
     assert assignment.group_keys is assignment.group_keys  # built on first read, then kept
     assert len(assignment.entries) == 6
     assert built == ["group_keys", "entries"]
@@ -217,7 +215,7 @@ def test_paper_table_builds_no_per_record_values(monkeypatch, capsys, tmp_path):
             assert main(argv) == 0
     capsys.readouterr()
     assert built == []
-    assignment = compute_percentiles(parse_records(io.StringIO(DOC_CSV)).records, QUANTILE)
+    assignment = compute_percentiles(parse_records(io.StringIO(DOC_CSV)), QUANTILE)
     assert top_count(assignment, "A", 50.0) == (1, 3)  # the set index is built on first read
     assert assignment.percentiles_for_set("B") == [100.0 * lower / 6 for lower in (4, 1, 4)]
     assert built == ["_values_by_set"]
@@ -225,22 +223,22 @@ def test_paper_table_builds_no_per_record_values(monkeypatch, capsys, tmp_path):
 
 def test_set_index_is_built_once_per_table_and_scope(monkeypatch):
     built = spy(monkeypatch, indicator_core._Tally.rows_by_set, "func", note=id)
-    dataset = parse_records(io.StringIO(DOC_CSV))
+    table = parse_records(io.StringIO(DOC_CSV))
     schemes = (P100, NSF6, RankClassScheme.from_token("top25"))
     for scope in [*ReferenceScope, *ReferenceScope]:
-        run_analysis(dataset, AnalysisConfig(tuple(PercentileRule), schemes, scope))
-        assignment = compute_percentiles(dataset.records, QUANTILE, scope)
+        run_analysis(table, rules=tuple(PercentileRule), schemes=schemes, scope=scope)
+        assignment = compute_percentiles(table, QUANTILE, scope)
         assert top_count(assignment, "B", 50.0)[1] == 3
     # every rule and scheme under one scope reads the index of that scope's one tally
-    assert built == [id(dataset.records._tallies[scope]) for scope in ReferenceScope]
+    assert built == [id(table._tallies[scope]) for scope in ReferenceScope]
 
 
 def test_paper_table_json_formats_no_text_cells(monkeypatch):
     formatted = spy(monkeypatch, data_pipeline, "format", note=lambda value, spec="": value)
-    dataset = parse_records(io.StringIO(DOC_CSV))
-    emit_paper_percentiles(dataset, tuple(PercentileRule), ReferenceScope.PER_SET, "json")
+    table = parse_records(io.StringIO(DOC_CSV))
+    emit_paper_percentiles(table, tuple(PercentileRule), ReferenceScope.PER_SET, "json")
     assert formatted == []
-    emit_paper_percentiles(dataset, tuple(PercentileRule), ReferenceScope.PER_SET, "delimited")
+    emit_paper_percentiles(table, tuple(PercentileRule), ReferenceScope.PER_SET, "delimited")
     assert formatted
 
 
@@ -248,11 +246,11 @@ def test_paper_table_json_formats_no_text_cells(monkeypatch):
 
 def test_analysis_config_gives_unequal_schemes_their_own_columns():
     first, second = (RankClassScheme.from_token(token) for token in ("top12.34561", "top12.34562"))
-    dataset = parse_records(io.StringIO(DOC_CSV))
-    report = run_analysis(dataset, AnalysisConfig((QUANTILE,), (P100, first, second)))
+    table = parse_records(io.StringIO(DOC_CSV))
+    report = run_analysis(table, rules=(QUANTILE,), schemes=(P100, first, second))
     assert list(report.rows[0].i3) == ["quantile_p100", "quantile_top12.34561", "quantile_top12.34562"]
     # one scheme repeated fills equal columns, which is harmless
-    AnalysisConfig((QUANTILE, QUANTILE), (first, first))
+    run_analysis(table, rules=(QUANTILE, QUANTILE), schemes=(first, first))
 
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, 150.0, -5.0, 100.000001])

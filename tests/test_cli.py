@@ -92,6 +92,13 @@ def test_rank_per_paper_micro_example(capsys):
     assert top[2:] == ["9", "90.000000", "99.000000", "100.000000"]
 
 
+@pytest.mark.parametrize("path", [REVIEWS, "/does/not/exist.csv"], ids=["reviews10", "missing"])
+def test_rank_per_paper_rejects_a_scheme(capsys, path):
+    # a scheme weights only the set ranking; the usage error comes before the input is read
+    code, out, err = run_cli(capsys, "rank", "--input", path, "--per-paper", "--scheme", "nsf6")
+    assert (code, out, err) == (2, "", "error: --scheme has no effect with --per-paper\n")
+
+
 def test_rank_defaults_to_quantile_delimited(capsys, multi_csv):
     code, out, err = run_cli(capsys, "rank", "--input", multi_csv)
     assert code == 0 and err == ""
@@ -415,8 +422,7 @@ def test_ztest_dataset_mode_matches_count_mode(capsys, tmp_path):
 
     from citerank import PercentileRule, compute_percentiles, load_records, top_share
 
-    dataset = load_records(path)
-    assignment = compute_percentiles(dataset.records, PercentileRule.QUANTILE)
+    assignment = compute_percentiles(load_records(path), PercentileRule.QUANTILE)
     k1 = round(top_share(assignment, "A", 80.0) * 20)
     k2 = round(top_share(assignment, "B", 80.0) * 20)
     code, out_counts, err = run_cli(
@@ -587,14 +593,12 @@ def test_cli_import_loads_neither_numpy_nor_fractions():
 COMMAND_MODULES = {f"citerank.{name}" for name in ("data_pipeline", "indicator_core", "rank_stats", "synth_bench")}
 
 
-def loaded_modules(probe, *argv):
-    """Exit code, and the sorted ``citerank.*`` modules loaded at exit, of ``python -c probe *argv``."""
-    code = ("import atexit, sys\n"
-            "atexit.register(lambda: print(sorted(m for m in sys.modules if m.startswith('citerank')), file=sys.stderr))\n"
-            + probe)
+def loaded_modules(probe, *argv, kept=lambda name: name.startswith("citerank")):
+    """Exit code, and the sorted modules loaded at exit that ``kept`` accepts, of ``python -c probe *argv``."""
+    code = "import atexit, sys\natexit.register(lambda: print(sorted(sys.modules), file=sys.stderr))\n" + probe
     env = {**os.environ, "PYTHONPATH": str(Path(citerank.__file__).parent.parent)}
     result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
-    return result.returncode, ast.literal_eval(result.stderr.splitlines()[-1])
+    return result.returncode, [name for name in ast.literal_eval(result.stderr.splitlines()[-1]) if kept(name)]
 
 
 @pytest.mark.parametrize("probe, modules", [
@@ -620,6 +624,14 @@ def test_rank_loads_neither_synth_bench_nor_rank_stats():
     code, modules = loaded_modules(RUN_CLI, "rank", "--input", REVIEWS)
     assert code == 0 and "citerank.data_pipeline" in modules
     assert {"citerank.synth_bench", "citerank.rank_stats"}.isdisjoint(modules)
+
+
+@pytest.mark.parametrize("fmt", ["delimited", "aligned", "json"])
+def test_rank_loads_no_dataclasses_and_json_only_for_json(fmt):
+    # dataclasses loads inspect (and through it ast, dis and tokenize) to generate its classes' code
+    code, modules = loaded_modules(RUN_CLI, "rank", "--input", REVIEWS, "--format", fmt,
+                                   kept=lambda name: name in ("dataclasses", "inspect", "json"))
+    assert (code, modules) == (0, ["json"] if fmt == "json" else [])
 
 
 def test_every_name_in_the_cli_table_is_exported_by_its_module_and_used():
@@ -682,12 +694,12 @@ def test_cli_and_data_pipeline_share_one_formats_tuple():
 
 
 def test_result_types_are_tuples_whose_fields_are_the_json_layout(capsys, multi_csv):
-    results = (citerank.SetReport, citerank.RankingReport, citerank.CorrelationResult,
-               citerank.ZTestResult, citerank.ExperimentConfig, citerank.DivergenceResult)
+    results = (citerank.SetReport, citerank.RankingReport, citerank.CorrelationResult, citerank.ZTestResult,
+               citerank.ExperimentConfig, citerank.DivergenceResult, citerank.PercentileAssignment,
+               citerank.RankClassScheme)
     assert all(issubclass(kind, tuple) for kind in results)
-    validating = (citerank.InputDataset, citerank.AnalysisConfig,
-                  citerank.SetSpec, citerank.PercentileAssignment, citerank.RankClassScheme)
-    assert all(dataclasses.is_dataclass(kind) for kind in validating)
+    # the one dataclass: a changed seed re-runs its checks through dataclasses.replace
+    assert dataclasses.is_dataclass(citerank.SetSpec)
     _, out, _ = run_cli(capsys, "rank", "--input", multi_csv, "--format", "json")
     assert [tuple(row) for row in json.loads(out)["rows"]] == [citerank.SetReport._fields] * 4
     _, out, _ = run_cli(

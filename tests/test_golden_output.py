@@ -37,8 +37,8 @@ def _cases() -> dict[str, list[str]]:
         for name, path in INPUTS.items():
             cases[f"rank-{name}-default.{fmt}"] = ["rank", "--input", path, "--format", fmt]
             for scope in ("global", "per-set"):
-                grid = ["rank", "--input", path, "--scope", scope, *ALL_RULES, *ALL_SCHEMES]
-                cases[f"rank-{name}-{scope}.{fmt}"] = [*grid, "--format", fmt]
+                grid = ["rank", "--input", path, "--scope", scope, *ALL_RULES]
+                cases[f"rank-{name}-{scope}.{fmt}"] = [*grid, *ALL_SCHEMES, "--format", fmt]
                 cases[f"rank-{name}-{scope}-per-paper.{fmt}"] = [*grid, "--per-paper", "--format", fmt]
         for scope in ("per-doc-type", "per-set-and-doc-type"):
             cases[f"rank-multi_doc-{scope}.{fmt}"] = [

@@ -14,9 +14,7 @@ from citerank import (
     NSF6,
     P100,
     TOP10,
-    AnalysisConfig,
     CitationTable,
-    InputDataset,
     PercentileRule,
     RankClassScheme,
     ReferenceScope,
@@ -545,14 +543,13 @@ def test_report_rows_equal_a_per_record_reference(table, rules):
     # rules in any order, repeats included; the discrete schemes keep every total I3 above zero
     schemes = (NSF6, TOP10)
     keys = list(dict.fromkeys(f"{rule.token}_{scheme.label}" for rule in rules for scheme in schemes))
-    dataset = InputDataset(table)
     for scope in ReferenceScope:
         oracle = oracle_entries(table, rules[0], scope)
         by_set = {}
         for set_id, paper_id, citations, _ in table_rows(table):
             by_set.setdefault(set_id, []).append((citations, oracle[paper_id]))
         weight = {set_id: sum(classify(value, NSF6) for _, value in papers) for set_id, papers in by_set.items()}
-        report = run_analysis(dataset, AnalysisConfig(tuple(rules), schemes, scope))
+        report = run_analysis(table, rules=rules, schemes=schemes, scope=scope)
         assert [row.set_id for row in report.rows] == sorted(by_set, key=lambda set_id: (-weight[set_id], set_id))
         for row in report.rows:
             papers = by_set[row.set_id]
