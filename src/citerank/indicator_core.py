@@ -55,12 +55,11 @@ def _member(kind: type[Enum], noun: str, token: str):
 class PercentileRule(Enum):
     """How a citation tally maps to a percentile within its reference group.
 
-    QUANTILE scores the share of reference items with strictly lower
-    counts. LB09 adds 0.9 to that tally, lifting the ceiling for small
-    groups (a 10-item group tops out at 99 instead of 90). ROUSSEAU_RAW
-    counts items at or below, so the item counts itself and the group
-    maximum always scores 100. ROUSSEAU_REVISED behaves like ROUSSEAU_RAW
-    except uncited items are pinned to the zeroth percentile.
+    Every rule scores ``(a*lower + b*tied + c) / (d*n)`` for an item with ``lower`` of its group's
+    ``n`` items citing less and ``tied`` as much, itself included. QUANTILE (100, 0, 0, 1) scores the
+    share citing less; LB09 (1000, 0, 900, 10) adds 0.9 to that tally, so a 10-item group tops out at
+    99, not 90. ROUSSEAU_RAW (100, 100, 0, 1) counts items at or below, so the group maximum scores
+    100; ROUSSEAU_REVISED is ROUSSEAU_RAW with uncited items pinned to the zeroth percentile.
     """
 
     QUANTILE = "quantile"
@@ -271,18 +270,21 @@ class SetReport(NamedTuple):
     top_share: float
 
 
-def _rule_value(rule: PercentileRule, lower: int, lower_or_equal: int, count: int, n: int) -> float:
-    if rule is PercentileRule.QUANTILE:
-        return 100.0 * lower / n
-    if rule is PercentileRule.LB09:
-        # One correctly rounded division of integers, so a percentile exactly
-        # on a class bound (n=21, lower=18 gives 90) comes out exactly on it.
-        return (1000 * lower + 900) / (10 * n)
-    if rule is PercentileRule.ROUSSEAU_RAW:
-        return 100.0 * lower_or_equal / n
-    if count == 0:
-        return 0.0
-    return 100.0 * lower_or_equal / n
+# (a, b, c, d, uncited_zero) per rule, see PercentileRule. A value is one correctly rounded int / int,
+# so a percentile exactly on a class bound (n=21, lower=18 gives 90 under lb09) comes out on it.
+_COEFFICIENTS = {
+    PercentileRule.QUANTILE: (100, 0, 0, 1, False),
+    PercentileRule.LB09: (1000, 0, 900, 10, False),
+    PercentileRule.ROUSSEAU_RAW: (100, 100, 0, 1, False),
+    PercentileRule.ROUSSEAU_REVISED: (100, 100, 0, 1, True),
+}
+
+
+def _row_values(rule: PercentileRule, rows: Iterable[tuple[int, int, int, int]]) -> tuple[float, ...]:
+    """The percentile of each (count, lower, tied, n) tally row under ``rule``."""
+    a, b, c, d, uncited_zero = _COEFFICIENTS[rule]
+    return tuple([0.0 if uncited_zero and count == 0 else (a * lower + b * tied + c) / (d * n)
+                  for count, lower, tied, n in rows])
 
 
 def percentile_of(count: int, group_counts: Iterable[int], rule: PercentileRule) -> float:
@@ -306,8 +308,7 @@ def percentile_of(count: int, group_counts: Iterable[int], rule: PercentileRule)
     if count not in counts:
         raise ValueError("item not in reference group")
     lower = sum(1 for x in counts if x < count)
-    lower_or_equal = lower + counts.count(count)
-    return _rule_value(rule, lower, lower_or_equal, count, len(counts))
+    return _row_values(rule, [(count, lower, counts.count(count), len(counts))])[0]
 
 
 def _numbering(column: Sequence) -> tuple[list[int], list]:
@@ -424,8 +425,7 @@ def compute_percentiles(
     tally = records._tallies.get(scope)
     if tally is None:
         tally = records._tallies[scope] = _tally(records, scope)
-    row_values = tuple([_rule_value(rule, lower, lower + tied, count, n) for count, lower, tied, n in tally.rows])
-    return PercentileAssignment(row_values, tally)
+    return PercentileAssignment(_row_values(rule, tally.rows), tally)
 
 
 def classify(percentile: float, scheme: RankClassScheme) -> float:

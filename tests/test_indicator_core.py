@@ -28,7 +28,7 @@ from citerank import (
     top_count,
     top_share,
 )
-from citerank.indicator_core import _rule_value
+from citerank.indicator_core import _row_values
 from conftest import citation_tables, group_percentiles, make_table, oracle_entries, table_rows
 
 RULES = list(PercentileRule)
@@ -73,14 +73,18 @@ def test_percentile_of_singleton_group(rule, count, expected):
     assert percentile_of(count, [count], rule) == expected
 
 
-def test_percentile_of_empty_group():
-    with pytest.raises(ValueError, match="empty reference group"):
-        percentile_of(1, [], PercentileRule.QUANTILE)
-
-
-def test_percentile_of_count_not_in_group():
-    with pytest.raises(ValueError, match="item not in reference group"):
-        percentile_of(4, [0, 1, 2], PercentileRule.QUANTILE)
+@pytest.mark.parametrize(
+    "count,group,message",
+    [
+        (1, [], "empty reference group"),
+        (-1, [-1, 0, 1], "negative citation count"),
+        (4, [0, 1, 2], "item not in reference group"),
+    ],
+    ids=["empty_group", "negative_count", "count_not_in_group"],
+)
+def test_percentile_of_rejects(count, group, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        percentile_of(count, group, PercentileRule.QUANTILE)
 
 
 # --- compute_percentiles -----------------------------------------------------
@@ -222,7 +226,7 @@ def test_top_token_threshold_is_the_exact_decimal_bound():
     # 100.0 - 64.1 is 35.900000000000006, which put a quantile of exactly 35.9 in class 1
     scheme = RankClassScheme.from_token("top64.1")
     assert scheme.lower_bounds == (0.0, 35.9) and scheme.label == "top64.1"
-    assert classify(_rule_value(PercentileRule.QUANTILE, 359, 360, 359, 1000), scheme) == 2
+    assert classify(_row_values(PercentileRule.QUANTILE, [(359, 359, 1, 1000)])[0], scheme) == 2
 
 
 def _top_token(millionths: int, leading_zeros: int, trailing_zeros: int) -> str:
@@ -588,42 +592,44 @@ def test_lb09_classes_exact_for_every_group_up_to_2000():
             (scheme, [max(0, math.ceil((bound * n - 90) / 100)) for bound in bounds])
             for scheme, bounds in schemes
         ]
-        for lower in range(n):
-            value = _rule_value(PercentileRule.LB09, lower, lower + 1, lower + 1, n)
+        values = _row_values(PercentileRule.LB09, [(lower + 1, lower, 1, n) for lower in range(n)])
+        for lower, value in enumerate(values):
             for scheme, first in firsts:
                 assert classify(value, scheme) == bisect_right(first, lower), (n, lower)
 
 
-# Exact value of each rule for a paper with `lower` papers below it and none tied, as a
-# (numerator, denominator) pair; rousseau's paper is uncited when lower is 0.
+# Exact value of each rule for a paper with `lower` papers below it and `tied` at its count,
+# itself included, as a (numerator, denominator) pair; rousseau's paper is uncited when lower is 0.
 _EXACT = {
-    PercentileRule.QUANTILE: lambda lower, n: (100 * lower, n),
-    PercentileRule.LB09: lambda lower, n: (100 * lower + 90, n),
-    PercentileRule.ROUSSEAU_RAW: lambda lower, n: (100 * (lower + 1), n),
-    PercentileRule.ROUSSEAU_REVISED: lambda lower, n: (100 * (lower + 1) if lower else 0, n),
+    PercentileRule.QUANTILE: lambda lower, tied, n: (100 * lower, n),
+    PercentileRule.LB09: lambda lower, tied, n: (100 * lower + 90, n),
+    PercentileRule.ROUSSEAU_RAW: lambda lower, tied, n: (100 * (lower + tied), n),
+    PercentileRule.ROUSSEAU_REVISED: lambda lower, tied, n: (100 * (lower + tied) if lower else 0, n),
 }
 
 
 @pytest.mark.parametrize("rule", RULES)
 def test_classes_exact_on_every_bound_for_groups_up_to_300(rule):
-    # For every (n, lower), the exact value v = num / den is checked against the nsf6 and
-    # top-10% bounds and against the two top<P> bounds with two decimals next to it: the
-    # threshold 100 - P = b / 100 with b = floor(100 v) (equal to v when 100 v is whole) and
-    # b + 1. The expected class is decided in integers: v >= b / 100 iff 100 num >= b den.
+    # For every (n, lower) and a tie of 1 or of every paper from `lower` up, the exact value
+    # v = num / den is checked against the nsf6 and top-10% bounds and against the two top<P>
+    # bounds with two decimals next to it: the threshold 100 - P = b / 100 with b = floor(100 v)
+    # (equal to v when 100 v is whole) and b + 1. The expected class is decided in integers:
+    # v >= b / 100 iff 100 num >= b den.
     tops: dict[int, RankClassScheme] = {}
     fixed = [(scheme, [int(100 * bound) for bound in scheme.lower_bounds]) for scheme in (NSF6, TOP10)]
     for n in range(1, 301):
         for lower in range(n):
-            value = _rule_value(rule, lower, lower + 1, lower, n)
-            num, den = _EXACT[rule](lower, n)
-            assert value == num / den, (n, lower)  # int / int is correctly rounded
-            for scheme, bounds in fixed:
-                assert classify(value, scheme) == sum(100 * num >= b * den for b in bounds), (n, lower)
-            floor_b = 100 * num // den
-            for b in (floor_b, floor_b + 1):
-                if 0 < b < 10000:
-                    if b not in tops:
-                        top = 10000 - b
-                        tops[b] = RankClassScheme.from_token(f"top{top // 100}.{top % 100:02d}")
-                    expected = 2 if 100 * num >= b * den else 1
-                    assert classify(value, tops[b]) == expected, (n, lower, tops[b].label)
+            for tied in {1, n - lower}:
+                value = _row_values(rule, [(lower, lower, tied, n)])[0]
+                num, den = _EXACT[rule](lower, tied, n)
+                assert value == num / den, (n, lower, tied)  # int / int is correctly rounded
+                for scheme, bounds in fixed:
+                    assert classify(value, scheme) == sum(100 * num >= b * den for b in bounds), (n, lower, tied)
+                floor_b = 100 * num // den
+                for b in (floor_b, floor_b + 1):
+                    if 0 < b < 10000:
+                        if b not in tops:
+                            top = 10000 - b
+                            tops[b] = RankClassScheme.from_token(f"top{top // 100}.{top % 100:02d}")
+                        expected = 2 if 100 * num >= b * den else 1
+                        assert classify(value, tops[b]) == expected, (n, lower, tied, tops[b].label)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from citerank import (
     P100,
+    CitationTable,
     DivergenceResult,
     ExperimentConfig,
     PercentileRule,
@@ -23,12 +24,13 @@ from citerank import (
     generate_set,
     load_experiment_config,
     override_seeds,
+    run_analysis,
     run_divergence_experiment,
     synth_bench,
 )
 from citerank.cli import main
-from citerank.synth_bench import MAX_SET_SIZE, emit_divergence
-from conftest import table_rows
+from citerank.synth_bench import MAX_SET_SIZE, divergence_from_report, emit_divergence
+from conftest import make_table, table_rows
 
 QUANTILE = PercentileRule.QUANTILE
 LB09 = PercentileRule.LB09
@@ -184,6 +186,14 @@ def test_experiment_preconditions():
         run_divergence_experiment(SPECS[:1], [QUANTILE, LB09])
     with pytest.raises(ValueError, match="at least 2 rules"):
         run_divergence_experiment(SPECS, [QUANTILE])
+
+
+def test_divergence_from_report_needs_two_rules():
+    # run_divergence_experiment checks its rules before it ranks, so only a report reaches this check
+    records = CitationTable.concat([make_table([0, 1, 2], "A"), make_table([0, 3, 3], "B")])
+    report = run_analysis(records, rules=(QUANTILE,), schemes=(P100,))
+    with pytest.raises(ValueError, match=r"^need at least 2 rules$"):
+        divergence_from_report(report, P100)
 
 
 def test_experiment_names_a_repeated_set_id():
