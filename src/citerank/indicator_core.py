@@ -13,13 +13,14 @@ aggregate is independent of record ordering.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import islice
 from typing import NamedTuple
 
 __all__ = [
@@ -153,8 +154,10 @@ class CitationTable:
     where absent) are the fields of the records in order; ``len`` is the
     number of records. The constructor is the one way records enter the
     library, and the one place that checks them: it raises ``ValueError`` on
-    a negative count or a repeated paper_id. Tallies computed from it are
-    memoized on it, one per reference scope (see :func:`compute_percentiles`).
+    a negative count or a repeated paper_id. The repeat check compares
+    neighbours when the paper_ids strictly increase, and builds a dict of
+    them only in any other order. Tallies computed from it are memoized on
+    it, one per reference scope (see :func:`compute_percentiles`).
     """
 
     __slots__ = ("set_ids", "paper_ids", "citations", "doc_types", "_tallies")
@@ -175,9 +178,11 @@ class CitationTable:
         if self.citations and min(self.citations) < 0:
             paper_id = next(p for p, c in zip(self.paper_ids, self.citations) if c < 0)
             raise ValueError(f"negative citations for paper {paper_id!r}")
-        if len(dict.fromkeys(self.paper_ids)) != len(self.paper_ids):  # smaller than a set of the ids
+        ids = self.paper_ids
+        # strictly increasing ids are distinct; other orders count a dict, smaller than a set of the ids
+        if not all(map(operator.lt, ids, islice(ids, 1, None))) and len(dict.fromkeys(ids)) != len(ids):
             seen: set[str] = set()
-            for paper_id in self.paper_ids:
+            for paper_id in ids:
                 if paper_id in seen:
                     raise ValueError(f"duplicate paper_id {paper_id!r}")
                 seen.add(paper_id)
@@ -185,11 +190,15 @@ class CitationTable:
 
     @classmethod
     def concat(cls, tables: Iterable[CitationTable]) -> CitationTable:
-        """One table holding the records of ``tables`` in order."""
-        tables = list(tables)
+        """One table holding the records of ``tables`` in order, read one table at a time."""
         names = ("set_ids", "paper_ids", "citations", "doc_types")
-        columns = [tuple(chain.from_iterable([getattr(table, name) for table in tables])) for name in names]
-        del tables  # tables that only the caller's iterable held are freed before the joined table is checked
+        columns: list = [[] for _ in names]
+        for table in tables:
+            for column, name in zip(columns, names):
+                column += getattr(table, name)
+            del table  # a table that only the caller's iterable held is freed once it is copied
+        # each list is freed as soon as its tuple is built, before the next tuple
+        columns = [tuple(columns.pop(0)) for _ in range(len(columns))]
         return cls(*columns)
 
     def __len__(self) -> int:

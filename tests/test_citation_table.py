@@ -8,6 +8,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -87,11 +88,66 @@ def test_concat_keeps_record_order():
 
 
 def test_table_rejects_a_repeated_paper_id_when_built():
-    with pytest.raises(ValueError, match=r"^duplicate paper_id 'p1'$"):
-        CitationTable(("A", "B"), ("p1", "p1"), (1, 2))
+    # equal neighbours, and a repeat in the last position that is the only break in increasing order
+    cases = [(("p1", "p1"), "p1"), (("p1", "p2", "p2", "p3"), "p2"), (("p1", "p2", "p3", "p1"), "p1")]
+    for paper_ids, repeated in cases:
+        with pytest.raises(ValueError, match=rf"^duplicate paper_id '{repeated}'$"):
+            CitationTable(("A",) * len(paper_ids), paper_ids, range(len(paper_ids)))
     parts = (CitationTable(["A", "A"], ["p0", "p1"], [0, 1]), CitationTable(["B"], ["p1"], [2]))
     with pytest.raises(ValueError, match=r"^duplicate paper_id 'p1'$"):
         CitationTable.concat(parts)
+
+
+@given(st.lists(st.text(max_size=3), unique=True, max_size=30), st.data())
+def test_table_accepts_its_paper_ids_exactly_when_they_are_distinct(distinct, data):
+    # sorted distinct ids skip the constructor's dict; a repeat, or any other order, goes through it
+    paper_ids = distinct + ([data.draw(st.sampled_from(distinct))] if distinct and data.draw(st.booleans()) else [])
+    order = data.draw(st.sampled_from(["sorted", "reversed", "shuffled"]))
+    if order == "shuffled":
+        paper_ids = data.draw(st.permutations(paper_ids))
+    else:
+        paper_ids.sort(reverse=order == "reversed")
+    seen, repeated = set(), None
+    for paper_id in paper_ids:
+        if paper_id in seen:
+            repeated = paper_id
+            break
+        seen.add(paper_id)
+    columns = (["A"] * len(paper_ids), paper_ids, [0] * len(paper_ids))
+    if repeated is None:
+        assert CitationTable(*columns).paper_ids == tuple(paper_ids)
+    else:
+        with pytest.raises(ValueError) as raised:
+            CitationTable(*columns)
+        assert str(raised.value) == f"duplicate paper_id {repeated!r}"
+
+
+def test_table_from_increasing_paper_ids_builds_no_dict_of_them():
+    # the columns' own tuples are 32 bytes per record; a dict of the ids would add about 55 more
+    n = 100_000
+    columns = (["S"] * n, [f"P{i:06d}" for i in range(n)], [i % 7 for i in range(n)])
+    tracemalloc.start()
+    try:
+        CitationTable(*columns)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * n
+
+
+def test_concat_frees_each_table_once_it_is_copied():
+    def parts():
+        for number in range(10):
+            yield CitationTable([f"S{number}"] * 10_000, [f"S{number}-{i:05d}" for i in range(10_000)], range(10_000))
+
+    tracemalloc.start()
+    try:
+        table = CitationTable.concat(parts())
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 100_000
+    assert peak - kept < 3_000_000
 
 
 def test_generate_set_is_deterministic_and_matches_its_records():
