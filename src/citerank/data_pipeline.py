@@ -14,8 +14,8 @@ import io
 import re
 import sys
 from array import array
-from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Sequence
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Sequence
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -49,8 +49,9 @@ __all__ = [
 
 REQUIRED_COLUMNS = ("set_id", "paper_id", "citations")
 
-# Rows parsed per chunk: the raw rows of one chunk are alive at a time.
-CHUNK_ROWS = 4096
+# Lines parsed, or papers gathered into a per-paper table, per chunk: one chunk's rows or pieces are alive at a time.
+# Blocks of 2048 lines left a 0.3-0.5 MB lower peak RSS than 4096 on 40k records, at the same speed (2-core VM, Python 3.11).
+CHUNK_ROWS = 2048
 
 # A delimited cell holding one of these is quoted (see _cell and _first_cell).
 _QUOTED = re.compile(r'[,"\r\n]')
@@ -89,25 +90,33 @@ def parse_records(stream: TextIO, source: str = "<stream>") -> CitationTable:
     duplicate paper_ids (the header is row 1), or the line the ``csv``
     module could not read, or ``source`` when it holds no record or is not UTF-8.
 
-    Rows are read in chunks of :data:`CHUNK_ROWS`. Each chunk's cells pass
-    the format checks in bulk and extend one list per column; the lists
-    become the tuples of the one :class:`CitationTable`, whose constructor
-    alone checks each count's sign and paper_id's uniqueness. Only when a
-    check fails are the rows scanned one by one for the first offending
-    row. Cyclic garbage collection is paused meanwhile and left as the
-    caller had it. The pause is process-wide: other threads run without
-    cyclic collection until the parse ends, and if one of them disables
-    collection during the parse, the parse re-enables it on exit.
+    The header is read by ``csv.reader``; the lines after it are read in
+    blocks of :data:`CHUNK_ROWS`, each as the stream splits them. A block is
+    split once at every comma and newline when it holds no ``"`` and no NUL,
+    has every ``\\r`` in a ``\\r\\n`` that ends a line (read as ``\\n``),
+    has no line longer than ``csv.field_size_limit()``, and has exactly the
+    header's number of cells on every line; ``str.strip`` is skipped when
+    the block is ASCII and holds no character it removes. From the first
+    block that is not split, or whose cells fail a check, ``csv.reader``
+    reads every row to the end, :data:`CHUNK_ROWS` rows at a time, so every
+    row, error text, row number and line number is the one ``csv.reader``
+    gives, and a file of quoted cells or short rows pays for one failed
+    split, not one per block. Each block's cells pass the format checks in
+    bulk and extend one list per column; the lists become the tuples of the
+    one :class:`CitationTable`, whose constructor alone checks each count's
+    sign and paper_id's uniqueness. Only when a check fails are the rows
+    scanned one by one for the first offending row. Cyclic garbage
+    collection is paused meanwhile and left as the caller had it. The pause
+    is process-wide: other threads run without cyclic collection until the
+    parse ends, and if one of them disables collection during the parse, the
+    parse re-enables it on exit.
     """
-    reader = csv.reader(stream)
-    # The parse makes no reference cycles: its garbage, the row lists, is freed by reference
+    # The parse makes no reference cycles: its garbage, the blocks' lines, cells and rows, is freed by reference
     # counting, and the lists it allocates would otherwise start collection passes that free nothing.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _parse_rows(reader, source)
-    except csv.Error as exc:
-        raise ValueError(f"malformed CSV at line {reader.line_num} of {source}: {exc}") from None
+        return _parse_rows(stream, source)
     except UnicodeDecodeError as exc:
         # the decoder's byte offset counts from its read buffer, not from the start of the file
         raise ValueError(f"{source} is not UTF-8 text: {exc.reason}") from None
@@ -116,11 +125,15 @@ def parse_records(stream: TextIO, source: str = "<stream>") -> CitationTable:
             gc.enable()
 
 
-def _parse_rows(reader: Iterator[list[str]], source: str) -> CitationTable:
+def _parse_rows(stream: TextIO, source: str) -> CitationTable:
+    stream = iter(stream)  # the header's reader and every block read one iterator of lines
+    reader = csv.reader(stream)
     try:
         header = next(reader)
     except StopIteration:
         raise ValueError(f"empty input: {source}") from None
+    except csv.Error as exc:
+        raise ValueError(f"malformed CSV at line {reader.line_num} of {source}: {exc}") from None
     if header:
         header[0] = header[0].removeprefix("\ufeff")
     names = [cell.strip() for cell in header]
@@ -132,26 +145,37 @@ def _parse_rows(reader: Iterator[list[str]], source: str) -> CitationTable:
             raise ValueError(f"column {name!r} appears more than once in the header")
     index = {name: names.index(name) for name in names}
     width = max(index[name] for name in REQUIRED_COLUMNS) + 1
+    wanted = [index[name] for name in (*REQUIRED_COLUMNS, "doc_type") if name in index]
 
     # one list per column (set_ids, paper_ids, citations[, doc_types]), and the numbers of the blank rows
-    columns: list[Sequence] = [[] for _ in range(4 if "doc_type" in index else 3)]
+    columns: list[Sequence] = [[] for _ in wanted]
     blanks: set[int] = set()
-    first = 2
-    while True:
-        rows: list[list[str]] = []
-        try:
-            rows.extend(islice(reader, CHUNK_ROWS))
-        except csv.Error:  # a bad row before the unreadable line wins
-            _raise_first_bad_row(columns, blanks, rows, first, index, width)
-            raise
-        if not rows:
-            break
-        # the list of non-blank rows dies with the call, so no chunk's rows outlive it
-        if not _extend_columns(columns, [row for row in rows if row], index, width):
-            _raise_first_bad_row(columns, blanks, rows, first, index, width)
-        if not all(rows):
-            blanks.update(number for number, row in enumerate(rows, start=first) if not row)
-        first += len(rows)
+    first, line = 2, reader.line_num  # the number of the block's first row, and of the last line read
+    while lines := list(islice(stream, CHUNK_ROWS)):
+        if _extend_split(columns, lines, len(header), wanted):
+            first += len(lines)
+            line += len(lines)
+            continue
+        # csv.reader reads every row from this block's first on: a block that the split cannot read
+        # (a quoted cell, a short row) is seldom the last, and each try costs a join and a scan
+        reader = csv.reader(chain(lines, stream))
+        del lines  # freed once the reader has read past it
+        while True:
+            rows: list[list[str]] = []
+            try:
+                rows.extend(islice(reader, CHUNK_ROWS))
+            except csv.Error as exc:  # a bad row before the unreadable line wins
+                _raise_first_bad_row(columns, blanks, rows, first, index, width)
+                raise ValueError(f"malformed CSV at line {line + reader.line_num} of {source}: {exc}") from None
+            if not rows:
+                break
+            # the list of non-blank rows dies with the call, so no block's rows outlive it
+            if not _extend_rows(columns, [row for row in rows if row], wanted, width):
+                _raise_first_bad_row(columns, blanks, rows, first, index, width)
+            if not all(rows):
+                blanks.update(number for number, row in enumerate(rows, start=first) if not row)
+            first += len(rows)
+        break  # the reader has read the stream to its end
     if not columns[0]:  # a header alone, or with only blank rows
         raise ValueError(f"empty input: {source}")
     # each list is freed as soon as its tuple is built, before the next tuple
@@ -163,26 +187,77 @@ def _parse_rows(reader: Iterator[list[str]], source: str) -> CitationTable:
         raise
 
 
-def _extend_columns(columns: list[Sequence], body: list[list[str]], index: dict[str, int], width: int) -> bool:
-    """Append the non-blank rows ``body`` to ``columns`` if each cell is well formed (the table checks the rest)."""
+def _extend_split(columns: list[Sequence], lines: list[str], width: int, wanted: list[int]) -> bool:
+    """Append the ``wanted`` cells of a block of whole lines as :func:`_extend_columns` does, if one split reads them.
+
+    ``width`` is the header's number of cells. Returns ``False``, and appends nothing, unless the
+    block's text, split once at every comma and newline, gives the cells that ``csv.reader`` gives
+    for its lines, up to ``str.strip``, and each cell is well formed; then ``csv`` must read it.
+    """
+    text = "".join(lines)
+    if not text.endswith("\n"):  # the stream's last line, when it has no line end
+        text += "\n"
+    if '"' in text or "\0" in text or text.count("\n") != len(lines):
+        return False
+    if "\r" in text:
+        # each "\r" ends a line in its "\r\n"; a stream split at a lone "\r" leaves a "\n" inside a line
+        if text.count("\r") != sum(map(str.endswith, lines, repeat("\r\n"))):
+            return False
+        text = text.replace("\r\n", "\n")
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return False
+    # every line ends in a cell of the last column: the newlines all sit there exactly when every line has width cells
+    cells = text.replace("\n", "\n,").split(",")
+    if len(cells) != len(lines) * width + 1:
+        return False
+    cells.pop()  # the empty cell after the last newline
+    last = "".join(cells[width - 1::width])
+    if last.count("\n") != len(lines):
+        return False
+    # set ids and paper_ids are stripped here when a cell may need it; counts and doc types once per distinct value
+    strip = not text.isascii() or any(map(text.__contains__, " \t\x0b\x0c\x1c\x1d\x1e\x1f"))
+    picked = [cells[at::width] for at in wanted]
+    for column in (0, 1):
+        if strip or wanted[column] == width - 1:  # the last column's cells end in "\n"
+            picked[column] = list(map(str.strip, picked[column]))
+    return _extend_columns(columns, *picked)
+
+
+def _extend_rows(columns: list[Sequence], body: list[list[str]], wanted: list[int], width: int) -> bool:
+    """Append the non-blank rows ``body`` as :func:`_extend_columns` does, if each has ``width`` cells."""
     if min(map(len, body), default=width) < width:
         return False
-    set_ids, paper_ids, raw = (list(map(str.strip, map(itemgetter(index[name]), body))) for name in REQUIRED_COLUMNS)
+    cells = [list(map(str.strip, map(itemgetter(at), body))) for at in wanted[:2]]
+    cells.append(list(map(itemgetter(wanted[2]), body)))
+    if len(wanted) > 3:
+        at = wanted[3]
+        cells.append([row[at] if len(row) > at else "" for row in body])
+    return _extend_columns(columns, *cells)
+
+
+def _extend_columns(columns: list[Sequence], set_ids: list[str], paper_ids: list[str], raw: list[str],
+                    doc_types: list[str] | None = None) -> bool:
+    """Append one block's cells to ``columns`` if each is well formed (the table checks the rest).
+
+    ``set_ids`` and ``paper_ids`` come stripped. Set ids are interned, and counts and doc types
+    stripped and converted once per distinct value, so equal values share one object.
+    """
+    counts = {cell: cell.strip() for cell in set(raw)}
     # int() takes a stripped cell that _INTEGER rejects only through "_" or a non-ASCII digit
-    joined = "".join(raw)
+    joined = "".join(counts.values())
     if "" in set_ids or "" in paper_ids or not joined.isascii() or "_" in joined:
         return False
     try:
-        citations = list(map(int, raw))
+        counts = {cell: int(text) for cell, text in counts.items()}
     except ValueError:  # not an integer, or more digits than int() converts
         return False
-    # set ids and doc types repeat on many rows: one shared string per value keeps the table small
     columns[0] += map(sys.intern, set_ids)
     columns[1] += paper_ids
-    columns[2] += citations
-    if "doc_type" in index:
-        at = index["doc_type"]
-        columns[3] += (sys.intern(row[at].strip()) or None if len(row) > at else None for row in body)
+    columns[2] += map(counts.__getitem__, raw)
+    if doc_types is not None:
+        kinds = {cell: sys.intern(cell.strip()) or None for cell in set(doc_types)}
+        columns[3] += map(kinds.__getitem__, doc_types)
     return True
 
 
@@ -305,17 +380,15 @@ def _csv_line(cells: Sequence[str]) -> str:
     return ",".join([_first_cell(cells[0]), *map(_cell, cells[1:])]) + "\n"
 
 
-def _report(fmt: str, title: str, pieces: Iterable[str]) -> str:
-    """A delimited or aligned report: its leader, then ``pieces``, whose concatenation is its lines.
-
-    The delimited leader is ``# citerank-i3 <version>``; the aligned one is the
-    program name and ``title``, then a blank line. The text is one ``"".join``
-    of the leader and the pieces, so it is built once and never copied; a piece
-    need not be a whole line, and one string object may be many pieces.
-    """
+def _leader(fmt: str, title: str) -> str:
+    """A delimited or aligned report's first piece: ``# citerank-i3 <version>``, or the program name and ``title``."""
     _check_format(fmt)
-    leader = f"citerank-i3 {__version__} {title}\n\n" if fmt == "aligned" else f"# citerank-i3 {__version__}\n"
-    return "".join(chain([leader], pieces))
+    return f"citerank-i3 {__version__} {title}\n\n" if fmt == "aligned" else f"# citerank-i3 {__version__}\n"
+
+
+def _report(fmt: str, title: str, lines: Iterable[str]) -> str:
+    """A delimited or aligned report: its leader (see :func:`_leader`), then ``lines``."""
+    return "".join([_leader(fmt, title), *lines])
 
 
 def emit_ranking_table(report: RankingReport, fmt: str = "delimited") -> str:
@@ -391,6 +464,37 @@ def parse_ranking_table(text: str) -> list[dict[str, object]]:
     return rows
 
 
+def _paper_order(records: CitationTable) -> array:
+    """The record indexes in (set_id, paper_id) order, as an ``array`` of 4-byte indexes."""
+    # Two stable sorts give the order without building tuple keys.
+    order = sorted(range(len(records)), key=records.paper_ids.__getitem__)
+    order.sort(key=records.set_ids.__getitem__)
+    return array("I", order)  # its int objects are freed before anything else is built
+
+
+def _paper_pieces(records: CitationTable, order: array, lead: list[str], set_pieces: dict[str, str], *kinds) -> list:
+    """``lead``, then per record in ``order`` (see :func:`_paper_order`) its set's piece and its piece of each kind.
+
+    ``set_pieces`` holds a piece for each set_id of ``records``. A kind maps a run of record indexes
+    to their pieces. A set's records are one run of the order, found by bisection, so its piece
+    fills its slots without a gather; each kind gathers :data:`CHUNK_ROWS` records at a time, so no
+    list of one piece per record is made beside the piece list.
+    """
+    stride = 1 + len(kinds)
+    pieces = [*lead, *repeat(None, stride * len(order))]
+    at, start = len(lead), 0
+    for set_id in sorted(set_pieces):
+        end = bisect_right(order, set_id, start, key=records.set_ids.__getitem__)
+        pieces[at + stride * start:at + stride * end:stride] = [set_pieces[set_id]] * (end - start)
+        start = end
+    for start in range(0, len(order), CHUNK_ROWS):
+        run = order[start:start + CHUNK_ROWS]
+        first = at + stride * start
+        for slot, kind in enumerate(kinds, start=first + 1):
+            pieces[slot:first + stride * len(run):stride] = kind(run)
+    return pieces
+
+
 def emit_paper_percentiles(
     records: CitationTable,
     rules: Sequence[PercentileRule],
@@ -399,38 +503,31 @@ def emit_paper_percentiles(
 ) -> str:
     """Per-paper percentile table, one ``pct_<rule>`` column per rule; ``rules`` must not be empty.
 
-    Rows are sorted by (set_id, paper_id) so equal inputs emit equal bytes;
-    the sorted order is kept as an ``array`` of 4-byte indexes. Every paper
-    in one row of the shared tally (one reference group and citation count)
-    holds the same count and percentiles, so the table is rendered from the
-    tally: each distinct rule gives its ``row_values`` once, and the numeric
-    cells are formatted once per tally row. Every format is one ``"".join``
-    over a flat stream of pieces, per paper in sorted order: its set's piece,
-    its paper cell and its tally row's piece, where set and row pieces are
-    shared strings, so no per-line string and no copy of the text is built.
-    The paper cell is the id itself unless some id needs quoting, when
-    delimited, or escaping, when json; a bare json id has its quotes in the
-    set and row pieces. Aligned puts a run of spaces, shared by all ids of a
-    length, before each id; json ends each paper with a separator piece.
+    Rows are sorted by (set_id, paper_id) so equal inputs emit equal bytes.
+    Every paper in one row of the shared tally (one reference group and
+    citation count) holds the same count and percentiles, so the table is
+    rendered from the tally: each distinct rule gives its ``row_values``
+    once, and the numeric cells are formatted once per tally row. Every
+    format is one ``"".join`` of one list of pieces (see
+    :func:`_paper_pieces`): the leader, then per paper in sorted order its
+    set's piece, its paper cell and its tally row's piece, where set and row
+    pieces are shared strings, so no per-line string and no copy of the text
+    is built. The paper cell is the id itself unless some id needs quoting,
+    when delimited, or escaping, when json; a bare json id has its quotes in
+    the set and row pieces. Aligned puts a run of spaces, shared by all ids
+    of a length, before each id; json ends each paper's row piece with the
+    separator, and the last one with the document's tail.
     """
     _check_format(fmt)
     if not rules:
         raise ValueError("at least one rule required")
+    # sorted before the tally, which reuses the memory that the sort frees
+    order = _paper_order(records)
     assignments = {rule: compute_percentiles(records, rule, scope) for rule in dict.fromkeys(rules)}
     tally = assignments[rules[0]].tally  # every rule's assignment over the records and scope shares it
     row_values = [assignments[rule].row_values for rule in rules]
-    set_ids, paper_ids, row_of = records.set_ids, records.paper_ids, tally.row_of
+    paper_ids, row_of, sets = records.paper_ids, tally.row_of, set(records.set_ids)
     counts = [count for count, _, _, _ in tally.rows]
-    # Sorting after the tally keeps the index list out of the tally's peak memory.
-    # Two stable sorts give the (set_id, paper_id) order without building tuple keys.
-    order = sorted(range(len(records)), key=paper_ids.__getitem__)
-    order.sort(key=set_ids.__getitem__)
-    order = array("I", order)  # its int objects are freed before the text is built
-
-    def each(pieces, key=None):
-        """Per paper in sorted order: the piece at its index, or at ``key[index]``."""
-        return map(pieces.__getitem__, order if key is None else map(key.__getitem__, order))
-
     tokens = [rule.token for rule in rules]
     if fmt == "json":
         import json
@@ -445,33 +542,37 @@ def emit_paper_percentiles(
         blocks = [
             f'{quote},\n      "citations": {count},\n      "percentiles": {{\n'
             + ",\n".join(f"        {key}: {value!r}" for key, value in dict(zip(keys, values)).items())
-            + "\n      }\n    }"
+            + "\n      }\n    },\n"
             for count, *values in zip(counts, *row_values)
         ]
         heads = {set_id: f'    {{\n      "set_id": {json.dumps(set_id)},\n      "paper_id": {quote}'
-                 for set_id in set(set_ids)}
+                 for set_id in sets}
+        pieces = _paper_pieces(records, order, [f"{head}[\n"], heads, lambda run: [id_cells[index] for index in run],
+                               lambda run: [blocks[row_of[index]] for index in run])
         # papers are separated by a comma; the last one is followed by the document's tail
-        ends = chain(repeat(",\n", len(order) - 1), [f"\n  ]{tail}\n"])
-        pieces = zip(each(heads, set_ids), each(id_cells), each(blocks, row_of), ends)
-        return "".join(chain([f"{head}[\n"], chain.from_iterable(pieces)))
-    header = ["set_id", "paper_id", "citations"] + [f"pct_{token}" for token in tokens]
-    # the numeric cells of the tally rows, one list per column
-    columns = [list(map(str, counts))] + [[format(value, ".6f") for value in values] for values in row_values]
-    if fmt == "aligned":
-        sets = set(set_ids)
-        widths = [max(map(len, chain([name], cells))) for name, cells in zip(header, [sets, paper_ids, *columns])]
-        first = _aligned_line(header, widths)
-        set_cells = {set_id: set_id.ljust(widths[0]) + "  " for set_id in sets}
-        pads = {length: " " * (widths[1] - length) for length in set(map(len, paper_ids))}
-        # a row's tail is its aligned cells after an empty first cell: two spaces before each
-        tails = [_aligned_line(["", *cells], [0, *widths[2:]]) for cells in zip(*columns)]
-        pieces = zip(each(set_cells, set_ids), map(pads.__getitem__, map(len, each(paper_ids))), each(paper_ids),
-                     each(tails, row_of))
+        pieces[-1] = pieces[-1].removesuffix(",\n") + f"\n  ]{tail}\n"
     else:
-        first = _csv_line(header)
-        set_cells = {set_id: _first_cell(set_id) + "," for set_id in set(set_ids)}
-        # paper_ids are distinct, and never a line's first cell: quote them only when one needs it
-        id_cells = paper_ids if _QUOTED.search("".join(paper_ids)) is None else list(map(_cell, paper_ids))
-        tails = ["," + ",".join(cells) + "\n" for cells in zip(*columns)]
-        pieces = zip(each(set_cells, set_ids), each(id_cells), each(tails, row_of))
-    return _report(fmt, f"paper percentiles (scope: {scope.token})", chain([first], chain.from_iterable(pieces)))
+        header = ["set_id", "paper_id", "citations"] + [f"pct_{token}" for token in tokens]
+        # the numeric cells of the tally rows, one list per column
+        columns = [list(map(str, counts))] + [[format(value, ".6f") for value in values] for values in row_values]
+        lead = [_leader(fmt, f"paper percentiles (scope: {scope.token})")]
+        if fmt == "aligned":
+            widths = [max(map(len, chain([name], cells))) for name, cells in zip(header, [sets, paper_ids, *columns])]
+            lead.append(_aligned_line(header, widths))
+            set_cells = {set_id: set_id.ljust(widths[0]) + "  " for set_id in sets}
+            pads = {length: " " * (widths[1] - length) for length in set(map(len, paper_ids))}
+            # a row's tail is its aligned cells after an empty first cell: two spaces before each
+            tails = [_aligned_line(["", *cells], [0, *widths[2:]]) for cells in zip(*columns)]
+            kinds = [lambda run: [pads[len(paper_ids[index])] for index in run],
+                     lambda run: [paper_ids[index] for index in run]]
+        else:
+            lead.append(_csv_line(header))
+            set_cells = {set_id: _first_cell(set_id) + "," for set_id in sets}
+            # paper_ids are distinct, and never a line's first cell: quote them only when one needs it
+            id_cells = paper_ids if _QUOTED.search("".join(paper_ids)) is None else list(map(_cell, paper_ids))
+            tails = ["," + ",".join(cells) + "\n" for cells in zip(*columns)]
+            kinds = [lambda run: [id_cells[index] for index in run]]
+        kinds.append(lambda run: [tails[row_of[index]] for index in run])
+        pieces = _paper_pieces(records, order, lead, set_cells, *kinds)
+    del order  # freed before the text is built
+    return "".join(pieces)

@@ -17,7 +17,7 @@ import operator
 import re
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from enum import Enum
 from functools import cached_property
 from itertools import islice
@@ -320,37 +320,6 @@ def percentile_of(count: int, group_counts: Iterable[int], rule: PercentileRule)
     return _row_values(rule, [(count, lower, counts.count(count), len(counts))])[0]
 
 
-def _numbering(column: Sequence) -> tuple[list[int], list]:
-    """Number every row's value in order of first appearance; also the values in that order."""
-    number_of = {value: number for number, value in enumerate(dict.fromkeys(column))}
-    return list(map(number_of.__getitem__, column)), list(number_of)
-
-
-def _group_numbers(table: CitationTable, scope: ReferenceScope) -> tuple[list[int] | None, list[str]]:
-    """Reference-group number of every record (``None``: one group), and each group's label.
-
-    A group is keyed by its own value: the set_id, the doc_type, or under
-    ``per-set-and-doc-type`` the (set_id, doc_type) pair, so ``a/b`` + ``c``
-    and ``a`` + ``b/c`` are two groups. The ``"<set_id>/<doc_type>"`` label
-    joins a pair for display only and may be shared by two groups.
-    """
-    if scope is ReferenceScope.GLOBAL_POOL:
-        return None, ["all"]
-    if scope is ReferenceScope.PER_SET:
-        return _numbering(table.set_ids)
-    if None in table.doc_types:
-        paper_id = table.paper_ids[table.doc_types.index(None)]
-        raise ValueError(f"record {paper_id!r} has no doc_type, required by scope {scope.token!r}")
-    if scope is ReferenceScope.PER_DOC_TYPE_POOL:
-        return _numbering(table.doc_types)
-    sets, set_names = _numbering(table.set_ids)
-    doc_types, doc_names = _numbering(table.doc_types)
-    width = len(doc_names)
-    # a pair as one int: numbering a list of pair tuples left a higher peak RSS on 200k records
-    groups, pairs = _numbering([s * width + d for s, d in zip(sets, doc_types)])
-    return groups, [f"{set_names[pair // width]}/{doc_names[pair % width]}" for pair in pairs]
-
-
 class _TallyColumns(NamedTuple):
     """What every counting rule shares for one table under one scope.
 
@@ -381,27 +350,43 @@ class _Tally(_TallyColumns):  # a NamedTuple has no instance dict to hold a cach
 
 
 def _tally(table: CitationTable, scope: ReferenceScope) -> _Tally:
+    """Every distinct (reference group, citation count) of ``table`` under ``scope``, from one sorted walk.
+
+    A record's key is the tuple of its count and its group: ``()`` in the global pool, ``(set_id,)``,
+    ``(doc_type,)``, or ``(set_id, doc_type)``. So a group is keyed by its own values: ``a/b`` + ``c``
+    and ``a`` + ``b/c`` are two groups, and the ``"<set_id>/<doc_type>"`` label joins a pair for
+    display only and may be shared by two groups. Sorted keys order by count, so each group's
+    running ``lower`` is complete when its next count comes up.
+    """
     if not table:
         raise ValueError("empty input")
-    groups, names = _group_numbers(table, scope)
-    counts = table.citations
-    # One integer per record, count * n_groups + group, so sorting orders by count and
-    # each group's running ``lower`` is complete when its next count comes up.
-    n_groups = len(names)
-    keys = counts if groups is None else [c * n_groups + g for c, g in zip(counts, groups)]
-    lower = [0] * n_groups
+    if scope in (ReferenceScope.PER_DOC_TYPE_POOL, ReferenceScope.PER_SET_AND_DOC_TYPE) and None in table.doc_types:
+        paper_id = table.paper_ids[table.doc_types.index(None)]
+        raise ValueError(f"record {paper_id!r} has no doc_type, required by scope {scope.token!r}")
+    group_columns = {
+        ReferenceScope.GLOBAL_POOL: (),
+        ReferenceScope.PER_SET: (table.set_ids,),
+        ReferenceScope.PER_DOC_TYPE_POOL: (table.doc_types,),
+        ReferenceScope.PER_SET_AND_DOC_TYPE: (table.set_ids, table.doc_types),
+    }[scope]
+    lower: dict[tuple, int] = {}
     walked: list[tuple[int, int, int]] = []
-    row_groups: list[int] = []
-    row_number: dict[int, int] = {}
-    for key, tied in sorted(Counter(keys).items()):
-        count, group = divmod(key, n_groups)
+    row_groups: list[tuple] = []
+    row_number: dict[tuple, int] = {}
+    for key, tied in sorted(Counter(zip(table.citations, *group_columns)).items()):
+        group = key[1:]
+        below = lower.get(group, 0)
         row_number[key] = len(walked)
-        walked.append((count, lower[group], tied))
+        walked.append((key[0], below, tied))
         row_groups.append(group)
-        lower[group] += tied
+        lower[group] = below + tied
     # the walk has counted every member of a group into its ``lower``: the group size
     rows = [(count, below, tied, lower[group]) for (count, below, tied), group in zip(walked, row_groups)]
-    return _Tally(rows, list(map(row_number.__getitem__, keys)), table.paper_ids, table.set_ids, row_groups, names)
+    number = dict(zip(lower, range(len(lower))))
+    names = ["/".join(group) if group else "all" for group in lower]
+    # the keys are zipped again, not kept: a list of one tuple per record would raise the peak
+    row_of = list(map(row_number.__getitem__, zip(table.citations, *group_columns)))
+    return _Tally(rows, row_of, table.paper_ids, table.set_ids, list(map(number.__getitem__, row_groups)), names)
 
 
 def compute_percentiles(

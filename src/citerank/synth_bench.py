@@ -136,6 +136,8 @@ def generate_set(spec: SetSpec) -> CitationTable:
     taken in exact decimal (0.29 of 100 is 29, where binary floating point
     gives 28); the rest get ``floor(lognormal(mu, sigma))`` citations
     clamped to >= 1. Uses a fresh PCG64 stream seeded with ``spec.seed``.
+    Paper ids are ``<set_id>-<number>``, numbered from 0 and zero-padded to
+    the width of ``n - 1``, at least 5 digits, so they strictly increase.
     Raises ``ValueError`` naming the set when a draw is not finite or is
     at least ``2**63``, so it cannot be stored as a citation count.
     """
@@ -158,7 +160,9 @@ def generate_set(spec: SetSpec) -> CitationTable:
             )
         counts += np.maximum(np.floor(draws), 1.0).astype(np.int64).tolist()
     prefix = f"{spec.set_id}-"
-    paper_ids = [prefix + str(index).zfill(5) for index in range(spec.n)]  # f"{index:05d}", faster
+    # numbers padded to one width, so the ids increase and the table checks them without a dict
+    digits = max(5, len(str(spec.n - 1)))
+    paper_ids = [prefix + str(index).zfill(digits) for index in range(spec.n)]  # f"{index:0{digits}d}", faster
     return CitationTable((spec.set_id,) * spec.n, paper_ids, counts)
 
 

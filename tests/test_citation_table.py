@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import operator
 import random
 import tracemalloc
 
@@ -160,8 +161,16 @@ def test_generate_set_is_deterministic_and_matches_its_records():
 
 
 def test_generated_ids_past_five_digits():
+    # numbers are padded to the width of n - 1, so a set of more than 100,000 papers keeps its ids increasing
     table = generate_set(SetSpec("W", n=100_001, uncited_share=1.0))
-    assert table.paper_ids[99_999:] == ("W-99999", "W-100000")
+    assert table.paper_ids[:2] == ("W-000000", "W-000001")
+    assert table.paper_ids[99_999:] == ("W-099999", "W-100000")
+    assert all(map(operator.lt, table.paper_ids, table.paper_ids[1:]))
+
+
+def test_generated_ids_of_sets_up_to_100000_papers_keep_five_digits():
+    assert generate_set(SetSpec("S", n=10, uncited_share=0.5)).paper_ids == tuple(f"S-0000{i}" for i in range(10))
+    assert generate_set(SetSpec("W", n=100_000, uncited_share=1.0)).paper_ids[-1] == "W-99999"
 
 
 # --- the tally: one per (table, scope), equal to a shuffled copy and the exact oracle ---

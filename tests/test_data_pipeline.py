@@ -640,6 +640,11 @@ def test_parse_reports_csv_module_errors_as_value_errors():
         _table(f"set_id,paper_id,citations\nA,{huge},1\n")
 
 
+def test_parse_names_the_line_of_a_header_that_csv_cannot_read():
+    with pytest.raises(ValueError, match="^malformed CSV at line 1 of inline: field larger"):
+        _table(f"set_id,paper_id,citations,{'x' * (csv.field_size_limit() + 1)}\nA,p1,1\n")
+
+
 def test_parse_pauses_gc_and_leaves_it_as_the_caller_had_it(monkeypatch):
     during = spy(monkeypatch, data_pipeline, "_parse_rows", note=lambda reader, source: gc.isenabled())
     malformed = f"set_id,paper_id,citations\nA,{'x' * (csv.field_size_limit() + 1)},1\n"
@@ -841,6 +846,123 @@ def chunked_csv(draw) -> str:
 @example(text="set_id,paper_id,citations\nA,p0,1\n\n\n\n\nB,p0,2\n", newline=None, chunk_rows=2)
 def test_parse_in_chunks_matches_the_reference_parse(text, newline, chunk_rows):
     assert _outcome(text, newline, chunk_rows) == _reference_parse(text, newline)
+
+
+# --- the split path: quote-free blocks split once, against the csv.reader-only reference ---
+
+# every character str.strip removes that a line may hold: the ASCII ones and some non-ASCII spaces
+_STRIPPED = " \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u2000\u3000"
+
+
+@st.composite
+def split_path_csv(draw) -> str:
+    """CSV text, its columns in any order, whose lines mostly have the header's width and no quote; some break one rule.
+
+    Cells carry strip characters around their values, line ends are LF or CRLF (mixed when drawn),
+    and a line may be blank, one cell wider or shorter than the header, hold a ``"``, a NUL or a
+    lone ``\\r``, or quote a cell. The last line may end without a line end.
+    """
+    names = ["set_id", "paper_id", "citations", *draw(st.sampled_from([[], ["doc_type"], ["doc_type", "note"]]))]
+    header = draw(st.permutations(names))
+    values = {
+        "set_id": st.sampled_from(["A", "B", "", "a b"]),
+        "paper_id": st.integers(0, 15).map(lambda number: f"p{number}") | st.just(""),
+        "citations": st.sampled_from(["0", "7", "12", "+3", "-1", "-0", "x", "1_0", ""]),
+        "doc_type": st.sampled_from(["art", "rev", ""]),
+        "note": st.sampled_from(["", "n"]),
+    }
+    padding = st.text(alphabet=st.sampled_from(_STRIPPED), max_size=2)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    ends = st.sampled_from([end, end, end, "\r\n" if end == "\n" else "\n"]) if draw(st.booleans()) else st.just(end)
+    lines = [",".join(header) + draw(ends)]
+    kinds = st.sampled_from(["row"] * 8 + ["blank", "wider", "shorter", "fault", "quoted"])
+    for kind in draw(st.lists(kinds, max_size=12)):
+        cells = [draw(padding) + draw(values[name]) + draw(padding) for name in header]
+        column = draw(st.integers(0, len(cells) - 1))
+        if kind == "blank":
+            cells = []
+        elif kind == "wider":
+            cells.append(draw(values["note"]))
+        elif kind == "shorter":
+            cells.pop()
+        elif kind == "fault":
+            at = draw(st.integers(0, len(cells[column])))
+            cells[column] = cells[column][:at] + draw(st.sampled_from(['"', "\0", "\r"])) + cells[column][at:]
+        elif kind == "quoted":
+            cells[column] = f'"{cells[column]}"'
+        lines.append(",".join(cells) + draw(ends))
+    if draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return "".join(lines)
+
+
+# a stream opened with newline="\n" leaves a lone "\r" inside its line, where csv rejects it; one opened
+# with newline="\r" ends a CRLF line at its "\r", and starts the next line with its "\n"
+@settings(deadline=None)
+@given(text=split_path_csv(), newline=st.sampled_from([None, "", "\n", "\r", "\r\n"]), chunk_rows=st.integers(1, 4))
+@example(text="set_id,paper_id,citations\r\nA,p1,1\r\nA,p2,2\r\n", newline="", chunk_rows=1)
+# a paper_id or set_id in the last column ends in its line's "\n", stripped though the block has no space
+@example(text="citations,set_id,paper_id\n1,A,p1\n2,B,p2\n", newline=None, chunk_rows=2)
+@example(text="paper_id,citations,set_id\r\np1,1,A\r\np2,2,B\r\n", newline="", chunk_rows=2)
+@example(text="set_id,paper_id,citations\rA,p1,1\r\nB,p2,2", newline="\r", chunk_rows=2)
+@example(text="set_id,paper_id,citations\nA,p1,1\nA,p2\rB,p3,2\n", newline="", chunk_rows=2)
+@example(text="set_id,paper_id,citations\nA,p1\r2,1\nA,p3,3\n", newline="\n", chunk_rows=2)
+@example(text="set_id,paper_id,citations,doc_type\nA,p1,1,art\nA,p2,2,rev,n\nA,p3,3\n", newline=None, chunk_rows=4)
+# as many cells as two lines of the header's width, but one line is wider and the other shorter
+@example(text="set_id,paper_id,citations,doc_type\nS1,7,3,article,9\n8,4,2\n", newline=None, chunk_rows=2)
+@example(text="set_id,paper_id,citations\nA,p1,1,B,p2,2\n", newline=None, chunk_rows=1)  # twice the width
+@example(text='set_id,paper_id,citations\nA,"p1",1\n', newline=None, chunk_rows=1)
+@example(text="set_id,paper_id,citations\nA, p1\u3000,\x1c1\x85\nB,p2,2\n", newline=None, chunk_rows=1)
+@example(text="set_id,paper_id,citations\nA,p1\xa0,1\n", newline=None, chunk_rows=1)
+def test_split_path_matches_the_csv_reader_reference(text, newline, chunk_rows):
+    assert _outcome(text, newline, chunk_rows) == _reference_parse(text, newline)
+
+
+@pytest.mark.parametrize("space", " \t\x0b\x0c\x1c\x1d\x1e\x1f")
+def test_an_ascii_block_with_a_character_that_str_strip_removes_is_stripped(space):
+    text = f"set_id,paper_id,citations,doc_type\n{space}A{space},{space}p1{space},1,art\n"
+    assert _outcome(text, None, 1) == _reference_parse(text, None) == [("A", "p1", 1, "art")]
+
+
+def _csv_readers(monkeypatch):
+    """One ``None`` per ``csv.reader`` made from here on."""
+    return spy(monkeypatch, data_pipeline.csv, "reader", note=lambda lines: None)
+
+
+def test_a_quote_free_input_is_read_by_csv_only_for_its_header(monkeypatch):
+    monkeypatch.setattr(data_pipeline, "CHUNK_ROWS", 2)
+    readers = _csv_readers(monkeypatch)
+    table = _table("set_id,paper_id,citations,doc_type\r\n" + "".join(f"S,p{i},{i}, art\r\n" for i in range(7)))
+    assert len(readers) == 1
+    assert table.citations == tuple(range(7)) and set(table.doc_types) == {"art"}
+
+
+@pytest.mark.parametrize("row", ['A,"p,4",4', "A,p4", "", "A,p4,4,extra", "A,p4\r,4", "A,p4,x"])
+def test_from_a_block_that_the_split_cannot_read_csv_reads_the_rest(monkeypatch, row):
+    text = "set_id,paper_id,citations\n" + "".join(f"A,p{i},{i}\n" for i in range(4)) + row + "\nA,p5,5\nA,p6,6\n"
+    expected = _reference_parse(text, "")
+    readers = _csv_readers(monkeypatch)
+    splits = spy(monkeypatch, data_pipeline, "_extend_split", note=lambda columns, lines, *rest: len(lines))
+    assert _outcome(text, "", 2) == expected
+    # one reader for the header, one from the block that holds the row to the end
+    assert len(readers) == 2
+    # the two blocks before the row, and the row's own; the block after it is not tried
+    assert splits == [2, 2, 2]
+
+
+def test_a_line_that_holds_a_newline_goes_through_csv():
+    # a stream that ends its lines only at "\r" leaves each "\n" inside a line, where csv rejects it
+    with pytest.raises(ValueError, match="^malformed CSV at line 2 of <stream>: new-line character seen"):
+        parse_records(io.TextIOWrapper(io.BytesIO(b"set_id,paper_id,citations\rA\np1\n1\n"), newline="\r"))
+    # its "\n" counts one per line, and its "\r" one per "\r\n", yet the last line starts with the "\n"
+    with pytest.raises(ValueError, match="^malformed CSV at line 3 of <stream>: new-line character seen"):
+        parse_records(io.TextIOWrapper(io.BytesIO(b"set_id,paper_id,citations\rA,p1,1\r\nB,p2,2"), newline="\r"))
+
+
+def test_a_quoted_cell_across_blocks_is_read_whole(monkeypatch):
+    monkeypatch.setattr(data_pipeline, "CHUNK_ROWS", 2)
+    text = 'set_id,paper_id,citations\nA,p1,1\nA,"p\n2\n",2\nA,p3,3\nA,p4,4\n'
+    assert table_rows(_table(text))[1:] == [("A", "p\n2", 2, None), ("A", "p3", 3, None), ("A", "p4", 4, None)]
 
 
 @given(cell=st.text(alphabet=st.sampled_from("0123456789+-_ .ex\t\x1c\xa0٣５"), max_size=8))

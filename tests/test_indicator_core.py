@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -512,6 +513,46 @@ def test_compute_percentiles_and_set_index_match_brute_force(table):
                 assert sorted(assignment.percentiles_for_set(set_id)) == sorted(brute)
             with pytest.raises(ValueError, match="unknown set_id"):
                 assignment.percentiles_for_set("missing")
+
+
+def test_per_set_and_doc_type_tally_keeps_two_pairs_of_one_label_apart():
+    records = CitationTable(["a/b", "a", "a/b"], ["p1", "p2", "p3"], [3, 3, 3], ["c", "b/c", "c"])
+    tally = compute_percentiles(records, PercentileRule.QUANTILE, ReferenceScope.PER_SET_AND_DOC_TYPE).tally
+    assert tally.names == ["a/b/c", "a/b/c"]
+    # a/b + c holds p1 and p3, tied; a + b/c holds p2 alone
+    assert [tally.rows[row] for row in tally.row_of] == [(3, 0, 2, 2), (3, 0, 1, 1), (3, 0, 2, 2)]
+    assert sorted(tally.groups) == [0, 1]
+
+
+# each scope's reference group of a record, from its set_id and doc_type
+_GROUP_OF = {
+    ReferenceScope.GLOBAL_POOL: lambda set_id, doc_type: (),
+    ReferenceScope.PER_SET: lambda set_id, doc_type: (set_id,),
+    ReferenceScope.PER_DOC_TYPE_POOL: lambda set_id, doc_type: (doc_type,),
+    ReferenceScope.PER_SET_AND_DOC_TYPE: lambda set_id, doc_type: (set_id, doc_type),
+}
+
+
+@given(table=citation_tables(), scope=st.sampled_from(ReferenceScope))
+def test_tally_equals_a_counter_reference(table, scope):
+    groups = list(map(_GROUP_OF[scope], table.set_ids, table.doc_types))
+    sizes = Counter(groups)
+    tied = Counter(zip(groups, table.citations))
+    assignment = compute_percentiles(table, PercentileRule.QUANTILE, scope)
+    tally = assignment.tally
+    # each record's row: (count, lower, tied, n) within its reference group
+    assert [tally.rows[row] for row in tally.row_of] == [
+        (count, sum(k for (other, c), k in tied.items() if other == group and c < count), tied[group, count],
+         sizes[group])
+        for group, count in zip(groups, table.citations)
+    ]
+    # one row per distinct (group, count), and one group number per group
+    assert len(set(zip(groups, table.citations, tally.row_of))) == len(set(tally.row_of)) == len(tally.rows) == len(tied)
+    numbers = [tally.groups[row] for row in tally.row_of]
+    assert len(set(zip(groups, numbers))) == len(set(numbers)) == len(tally.names) == len(sizes)
+    labels = ["/".join(group) if group else "all" for group in groups]
+    assert [tally.names[number] for number in numbers] == labels
+    assert assignment.group_keys == dict(zip(table.paper_ids, labels))
 
 
 # top<P> shares: whole percents, whose bounds meet many k*100/n, and shares with decimals
