@@ -171,6 +171,9 @@ def _resolve_config(token: str) -> Path:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # numpy, loaded by generate_set, makes no BLAS call here, and OpenBLAS would start idle worker
+    # threads when it loads; a value the user set wins
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     _bind("synth_bench")
     config = load_experiment_config(_resolve_config(args.config))
     if args.seed is not None:

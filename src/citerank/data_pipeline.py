@@ -466,8 +466,9 @@ def parse_ranking_table(text: str) -> list[dict[str, object]]:
 
 def _paper_order(records: CitationTable) -> array:
     """The record indexes in (set_id, paper_id) order, as an ``array`` of 4-byte indexes."""
-    # Two stable sorts give the order without building tuple keys.
-    order = sorted(range(len(records)), key=records.paper_ids.__getitem__)
+    # Two stable sorts give the order without building tuple keys. ``tuple`` returns a tuple column
+    # itself, and reads a generated table's numbered paper_ids once, so each key is a tuple lookup.
+    order = sorted(range(len(records)), key=tuple(records.paper_ids).__getitem__)
     order.sort(key=records.set_ids.__getitem__)
     return array("I", order)  # its int objects are freed before anything else is built
 
@@ -526,7 +527,7 @@ def emit_paper_percentiles(
     assignments = {rule: compute_percentiles(records, rule, scope) for rule in dict.fromkeys(rules)}
     tally = assignments[rules[0]].tally  # every rule's assignment over the records and scope shares it
     row_values = [assignments[rule].row_values for rule in rules]
-    paper_ids, row_of, sets = records.paper_ids, tally.row_of, set(records.set_ids)
+    paper_ids, row_of, sets = tuple(records.paper_ids), tally.row_of, set(records.set_ids)  # see _paper_order
     counts = [count for count, _, _, _ in tally.rows]
     tokens = [rule.token for rule in rules]
     if fmt == "json":

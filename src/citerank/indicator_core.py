@@ -17,10 +17,10 @@ import operator
 import re
 from bisect import bisect_right
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from enum import Enum
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import NamedTuple
 
 __all__ = [
@@ -147,17 +147,107 @@ NSF6 = RankClassScheme.from_token("nsf6")
 TOP10 = RankClassScheme.from_token("top10")
 
 
+class _NumberedIds(Sequence):
+    """The paper_ids of generated sets: a sequence that reads exactly as the tuple of them.
+
+    Each block ``(set_id, width, n)``, with ``1 <= n <= 10**width``, stands for the ids
+    ``f"{set_id}-" + str(i).zfill(width)`` for ``i < n``, in order. ``len`` comes from the blocks;
+    the first other read formats every id once and keeps their tuple, which every later read uses.
+    Indexing, slices (tuples), iteration, ``==``, hash, ``in`` and ``index`` are the tuple's. It is
+    no ``tuple`` subclass, as C functions such as ``str.join`` read a subclass's stored items.
+    """
+
+    __slots__ = ("blocks", "_len", "_ids")
+
+    def __init__(self, blocks: Iterable[tuple[str, int, int]]) -> None:
+        self.blocks = tuple(blocks)
+        self._len = sum(n for _, _, n in self.blocks)
+        self._ids: tuple[str, ...] | None = None
+
+    @property
+    def _tuple(self) -> tuple[str, ...]:
+        if self._ids is None:
+            ids: list[str] = []
+            for set_id, width, n in self.blocks:
+                # a head (the set_id and the leading digits) and a tail of the last two digits: one
+                # concatenation per id, about 4 times faster than formatting each number
+                prefix, low = f"{set_id}-", min(width, 2)
+                heads = ([prefix + str(number).zfill(width - low) for number in range(-(-n // 10**low))]
+                         if width > low else [prefix])
+                tails = [str(number).zfill(low) for number in range(10**low)]
+                start = len(ids)
+                ids += [head + tail for head in heads for tail in tails]
+                del ids[start + n:]  # the last head's ids past number n - 1
+            self._ids = tuple(ids)
+        return self._ids
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, index):
+        return self._tuple[index]
+
+    def __iter__(self):
+        return iter(self._tuple)
+
+    def __contains__(self, value: object) -> bool:
+        return value in self._tuple
+
+    def index(self, value, *bounds) -> int:
+        return self._tuple.index(value, *bounds)
+
+    def __eq__(self, other: object):
+        if isinstance(other, _NumberedIds):
+            other = other._tuple
+        return self._tuple == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tuple)
+
+    def __repr__(self) -> str:
+        return repr(self._tuple)
+
+
+def _first_repeat(ids: Sequence[str]) -> str | None:
+    """The first paper_id of ``ids`` in order that an earlier one repeats, or ``None``."""
+    if isinstance(ids, _NumberedIds):
+        # Two blocks share an id exactly when they share (set_id, width). Each id is set_id, then "-",
+        # then exactly width digits, as n <= 10**width. Equal ids of equal width have equal set_ids:
+        # the ids less their last width + 1 characters. Equal ids of widths w < v would put the
+        # narrower id's "-" v - w characters past the wider id's "-", and so at most v - 1 past it:
+        # on one of the wider id's digits. So blocks of distinct keys hold distinct ids, a block holds
+        # n distinct ids, and a block whose key came before first repeats its own first id, number 0.
+        keys: set[tuple[str, int]] = set()
+        for set_id, width, _ in ids.blocks:
+            if (set_id, width) in keys:
+                return f"{set_id}-" + "0" * width
+            keys.add((set_id, width))
+        return None
+    # strictly increasing ids are distinct; other orders count a dict, smaller than a set of the ids
+    if all(map(operator.lt, ids, islice(ids, 1, None))) or len(dict.fromkeys(ids)) == len(ids):
+        return None
+    seen: set[str] = set()
+    for paper_id in ids:
+        if paper_id in seen:
+            return paper_id
+        seen.add(paper_id)
+    return None
+
+
 class CitationTable:
-    """Citation records held as four equal-length tuple columns.
+    """Citation records held as four equal-length columns, each read as a tuple.
 
     ``set_ids``, ``paper_ids``, ``citations`` and ``doc_types`` (``None``
     where absent) are the fields of the records in order; ``len`` is the
-    number of records. The constructor is the one way records enter the
-    library, and the one place that checks them: it raises ``ValueError`` on
-    a negative count or a repeated paper_id. The repeat check compares
-    neighbours when the paper_ids strictly increase, and builds a dict of
-    them only in any other order. Tallies computed from it are memoized on
-    it, one per reference scope (see :func:`compute_percentiles`).
+    number of records. The columns are tuples, except the ``paper_ids`` of
+    a table of generated sets: a numbered column that reads as the tuple of
+    its ids and formats them on first read. The constructor is the one way
+    records enter the library, and the one place that checks them: it
+    raises ``ValueError`` on a negative count or a repeated paper_id. A
+    numbered column is checked by its blocks; other paper_ids by comparing
+    neighbours when they strictly increase, and by a dict of them only in
+    any other order. Tallies computed from it are memoized on it, one per
+    reference scope (see :func:`compute_percentiles`).
     """
 
     __slots__ = ("set_ids", "paper_ids", "citations", "doc_types", "_tallies")
@@ -170,7 +260,7 @@ class CitationTable:
         doc_types: Iterable[str | None] | None = None,
     ) -> None:
         self.set_ids = tuple(set_ids)
-        self.paper_ids = tuple(paper_ids)
+        self.paper_ids = paper_ids if isinstance(paper_ids, _NumberedIds) else tuple(paper_ids)
         self.citations = tuple(citations)
         self.doc_types = (None,) * len(self.paper_ids) if doc_types is None else tuple(doc_types)
         if not len(self.set_ids) == len(self.paper_ids) == len(self.citations) == len(self.doc_types):
@@ -178,28 +268,34 @@ class CitationTable:
         if self.citations and min(self.citations) < 0:
             paper_id = next(p for p, c in zip(self.paper_ids, self.citations) if c < 0)
             raise ValueError(f"negative citations for paper {paper_id!r}")
-        ids = self.paper_ids
-        # strictly increasing ids are distinct; other orders count a dict, smaller than a set of the ids
-        if not all(map(operator.lt, ids, islice(ids, 1, None))) and len(dict.fromkeys(ids)) != len(ids):
-            seen: set[str] = set()
-            for paper_id in ids:
-                if paper_id in seen:
-                    raise ValueError(f"duplicate paper_id {paper_id!r}")
-                seen.add(paper_id)
+        repeated = _first_repeat(self.paper_ids)
+        if repeated is not None:
+            raise ValueError(f"duplicate paper_id {repeated!r}")
         self._tallies: dict[ReferenceScope, _Tally] = {}
 
     @classmethod
     def concat(cls, tables: Iterable[CitationTable]) -> CitationTable:
-        """One table holding the records of ``tables`` in order, read one table at a time."""
-        names = ("set_ids", "paper_ids", "citations", "doc_types")
+        """One table holding the records of ``tables`` in order, read one table at a time.
+
+        When every table's paper_ids are numbered (generated sets), the joined column holds their
+        blocks; otherwise it is the tuple of their ids.
+        """
+        names = ("set_ids", "citations", "doc_types")
         columns: list = [[] for _ in names]
+        id_columns = []
         for table in tables:
+            id_columns.append(table.paper_ids)  # held, not copied: a numbered column is a few blocks
             for column, name in zip(columns, names):
                 column += getattr(table, name)
             del table  # a table that only the caller's iterable held is freed once it is copied
+        if all(isinstance(ids, _NumberedIds) for ids in id_columns):
+            paper_ids = _NumberedIds(chain.from_iterable(ids.blocks for ids in id_columns))
+        else:
+            paper_ids = tuple(chain.from_iterable(id_columns))
+        del id_columns
         # each list is freed as soon as its tuple is built, before the next tuple
-        columns = [tuple(columns.pop(0)) for _ in range(len(columns))]
-        return cls(*columns)
+        set_ids, citations, doc_types = [tuple(columns.pop(0)) for _ in range(len(columns))]
+        return cls(set_ids, paper_ids, citations, doc_types)
 
     def __len__(self) -> int:
         return len(self.paper_ids)
@@ -333,7 +429,7 @@ class _TallyColumns(NamedTuple):
 
     rows: list[tuple[int, int, int, int]]
     row_of: list[int]
-    paper_ids: tuple[str, ...]
+    paper_ids: Sequence[str]
     set_ids: tuple[str, ...]
     groups: list[int]
     names: list[str]

@@ -27,6 +27,7 @@ from .indicator_core import (
     PercentileRule,
     RankClassScheme,
     ReferenceScope,
+    _NumberedIds,
 )
 from .rank_stats import pearson_r, spearman_rho
 
@@ -137,7 +138,9 @@ def generate_set(spec: SetSpec) -> CitationTable:
     gives 28); the rest get ``floor(lognormal(mu, sigma))`` citations
     clamped to >= 1. Uses a fresh PCG64 stream seeded with ``spec.seed``.
     Paper ids are ``<set_id>-<number>``, numbered from 0 and zero-padded to
-    the width of ``n - 1``, at least 5 digits, so they strictly increase.
+    the width of ``n - 1``, at least 5 digits. They are held as one numbered
+    block, which reads as their tuple and formats them on first read, so a
+    table that no step reads them from holds no id string.
     Raises ``ValueError`` naming the set when a draw is not finite or is
     at least ``2**63``, so it cannot be stored as a citation count.
     """
@@ -159,10 +162,7 @@ def generate_set(spec: SetSpec) -> CitationTable:
                 "that is not finite or is at least 2**63"
             )
         counts += np.maximum(np.floor(draws), 1.0).astype(np.int64).tolist()
-    prefix = f"{spec.set_id}-"
-    # numbers padded to one width, so the ids increase and the table checks them without a dict
-    digits = max(5, len(str(spec.n - 1)))
-    paper_ids = [prefix + str(index).zfill(digits) for index in range(spec.n)]  # f"{index:0{digits}d}", faster
+    paper_ids = _NumberedIds([(spec.set_id, max(5, len(str(spec.n - 1))), spec.n)])
     return CitationTable((spec.set_id,) * spec.n, paper_ids, counts)
 
 

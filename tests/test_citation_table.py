@@ -173,6 +173,116 @@ def test_generated_ids_of_sets_up_to_100000_papers_keep_five_digits():
     assert generate_set(SetSpec("W", n=100_000, uncited_share=1.0)).paper_ids[-1] == "W-99999"
 
 
+# --- numbered paper_ids: generated sets read as the tuple of their ids ---------------
+
+# set ids that mix "-" and digits, so that an id of one set_id and width could pass for one of another
+_NUMBERED_SET_IDS = ("A", "A-1", "A-", "A-00001", "A-0")
+
+
+def _with_tuple_ids(table: CitationTable) -> CitationTable:
+    return CitationTable(table.set_ids, tuple(table.paper_ids), table.citations, table.doc_types)
+
+
+def _concat_outcome(tables):
+    """The rows of ``CitationTable.concat(tables)``, or the message of the ``ValueError`` it raises."""
+    try:
+        return table_rows(CitationTable.concat(tables))
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(st.lists(st.tuples(st.sampled_from(_NUMBERED_SET_IDS), st.integers(1, 3), st.integers(0, 2)),
+                min_size=1, max_size=5), st.data())
+def test_numbered_ids_read_as_the_tuple_they_stand_for(specs, data):
+    blocks = [(set_id, width, min(10**width, 1 + size * 5 * width)) for set_id, width, size in specs]
+    expected = tuple(f"{set_id}-" + str(i).zfill(width) for set_id, width, n in blocks for i in range(n))
+    ids = indicator_core._NumberedIds(blocks)
+    assert len(ids) == len(expected) and ids._ids is None  # the length formats no id
+    n = len(expected)
+    for index in range(-n - 2, n + 2):
+        if -n <= index < n:
+            assert ids[index] == expected[index]
+        else:
+            with pytest.raises(IndexError, match="^tuple index out of range$"):
+                ids[index]
+    formatted = ids._ids
+    bounds = st.none() | st.integers(-n - 2, n + 2)
+    for start, stop, step in data.draw(st.lists(st.tuples(bounds, bounds, bounds.filter(lambda step: step != 0)))):
+        piece = ids[start:stop:step]
+        assert type(piece) is tuple and piece == expected[start:stop:step]
+    assert list(ids) == list(expected) and list(reversed(ids)) == list(reversed(expected))
+    assert ids == expected and expected == ids and not ids != expected
+    assert ids == indicator_core._NumberedIds(blocks) and ids != expected + ("x",) and ids != list(expected)
+    assert hash(ids) == hash(expected)
+    assert "".join(ids) == "".join(expected)  # a C function that reads a sequence's items
+    probes = [*expected[:3], "A-00000", "A-1-0", "A--00", "A-0-0", "A-000001", "x"]
+    for probe in probes:
+        assert (probe in ids) == (probe in expected)
+        assert ids.count(probe) == expected.count(probe)
+        if probe in expected:
+            assert ids.index(probe) == expected.index(probe)
+        else:
+            with pytest.raises(ValueError):
+                ids.index(probe)
+    assert ids._ids is formatted  # formatted on the first read, then kept
+    # the constructor finds the repeat that the tuple of the ids holds, by blocks
+    columns = (["S"] * n, ids, [0] * n)
+    try:
+        table = CitationTable(*columns)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            CitationTable(columns[0], expected, columns[2])
+        assert str(raised.value) == str(exc)
+    else:
+        assert table.paper_ids is ids and table_rows(table) == table_rows(CitationTable(columns[0], expected, [0] * n))
+
+
+@given(st.lists(st.tuples(st.sampled_from(_NUMBERED_SET_IDS), st.sampled_from([1, 3, 12])), min_size=1, max_size=5),
+       st.none() | st.tuples(st.integers(0, 5), st.sampled_from(["A-00000", "A-1-00002", "A-000000", "p"])))
+def test_concat_of_generated_tables_matches_their_tuple_ids(specs, parsed):
+    tables = [generate_set(SetSpec(set_id, n=n, uncited_share=0.5, seed=seed))
+              for seed, (set_id, n) in enumerate(specs)]
+    if parsed is not None:  # a table with tuple ids, as parse_records builds, among the generated ones
+        position, paper_id = parsed
+        tables.insert(position, CitationTable(["P"], [paper_id], [3]))
+    outcome = _concat_outcome(tables)
+    assert outcome == _concat_outcome(map(_with_tuple_ids, tables))
+    if isinstance(outcome, list):
+        joined = CitationTable.concat(tables)
+        assert isinstance(joined.paper_ids, indicator_core._NumberedIds) == (parsed is None)
+
+
+def test_concat_of_generated_sets_of_widths_5_and_6():
+    specs = [("W", 100_001), ("A-1", 3), ("W", 7), ("A", 2), ("W-", 4)]
+    tables = [generate_set(SetSpec(set_id, n=n, uncited_share=1.0)) for set_id, n in specs]
+    joined = CitationTable.concat(tables)
+    assert len(joined.paper_ids.blocks) == 5 and joined.paper_ids._ids is None
+    assert table_rows(joined) == table_rows(CitationTable.concat(map(_with_tuple_ids, tables)))
+    for fmt in ("delimited", "aligned", "json"):
+        assert emit_paper_percentiles(joined, (QUANTILE,), fmt=fmt) == emit_paper_percentiles(
+            _with_tuple_ids(joined), (QUANTILE,), fmt=fmt)
+    # a set_id and width repeated in two non-adjacent places: the later block's first id is the first repeat
+    for repeated in ([*tables, tables[2]], [*tables, tables[0]], [tables[3], tables[1], tables[4], tables[3]]):
+        with pytest.raises(ValueError) as raised:
+            CitationTable.concat(repeated)
+        assert str(raised.value) == _concat_outcome(map(_with_tuple_ids, repeated))
+    assert str(raised.value) == "duplicate paper_id 'A-00000'"
+
+
+def test_concat_of_generated_sets_holds_no_paper_id_strings():
+    # the three tuple columns keep 24 bytes per record and concat's lists add about 11; id strings would add 66
+    specs = [SetSpec(f"S{number}", n=10_000, uncited_share=0.25, seed=number) for number in range(10)]
+    generate_set(specs[0])  # numpy is loaded before tracing starts
+    tracemalloc.start()
+    try:
+        table = CitationTable.concat(generate_set(spec) for spec in specs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 100_000
+    assert peak <= 48 * len(table)
+
+
 # --- the tally: one per (table, scope), equal to a shuffled copy and the exact oracle ---
 
 @given(drawn=citation_tables(), seed=st.integers(min_value=0, max_value=2**16))

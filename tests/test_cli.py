@@ -451,6 +451,24 @@ def test_simulate_shipped_fixture_is_reproducible(capsys):
     assert "# top_ranked" in first
 
 
+@pytest.mark.parametrize("argv, preset, kept", [
+    (["simulate", "--config", "divergence_high_uncited"], None, "1"),
+    (["simulate", "--config", "divergence_high_uncited"], "3", "3"),
+    (["rank", "--input", REVIEWS], None, None),
+])
+def test_only_simulate_defaults_openblas_to_one_thread(argv, preset, kept):
+    child = ("import contextlib, io, os, sys; from citerank.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()): assert main(sys.argv[1:]) == 0\n"
+             "print(repr(os.environ.get('OPENBLAS_NUM_THREADS')))")
+    env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(citerank.__file__).parent.parent)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    done = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"{kept!r}\n"
+
+
 def test_simulate_top_sets_differ_between_rules(capsys):
     code, out, err = run_cli(capsys, "simulate", "--config", "divergence_high_uncited")
     assert code == 0
